@@ -68,6 +68,13 @@ std::string format_double(double v) {
   return os.str();
 }
 
+// The deterministic view keeps only instruments whose values are pure
+// functions of the work (DESIGN.md §9).
+template <typename Entry>
+bool omitted(const Entry& entry, bool deterministic) {
+  return deterministic && entry.scheduling_dependent;
+}
+
 }  // namespace
 
 bool enabled() {
@@ -178,10 +185,14 @@ struct MetricsRegistry::Impl {
   using Instrument = std::variant<std::unique_ptr<Counter>,
                                   std::unique_ptr<Gauge>,
                                   std::unique_ptr<Histogram>>;
+  struct Entry {
+    Instrument instrument;
+    bool scheduling_dependent = false;  // sticky once any lookup sets it
+  };
   mutable std::mutex mutex;
   // std::map keeps snapshot output sorted without an extra pass, and node
   // stability guarantees instrument addresses survive later insertions.
-  std::map<std::string, Instrument> instruments;
+  std::map<std::string, Entry> instruments;
 };
 
 MetricsRegistry::MetricsRegistry() : impl_(new Impl) {}
@@ -195,17 +206,21 @@ MetricsRegistry& MetricsRegistry::instance() {
   return *registry;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
+Counter& MetricsRegistry::counter(const std::string& name,
+                                  Determinism determinism) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   auto it = impl_->instruments.find(name);
   if (it == impl_->instruments.end()) {
     it = impl_->instruments
-             .emplace(name, std::make_unique<Counter>())
+             .emplace(name, Impl::Entry{std::make_unique<Counter>()})
              .first;
   }
-  auto* slot = std::get_if<std::unique_ptr<Counter>>(&it->second);
+  auto* slot = std::get_if<std::unique_ptr<Counter>>(&it->second.instrument);
   HPNN_CHECK(slot != nullptr,
                "metrics name '" + name + "' already registered as non-counter");
+  if (determinism == Determinism::kSchedulingDependent) {
+    it->second.scheduling_dependent = true;
+  }
   return **slot;
 }
 
@@ -213,16 +228,19 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   auto it = impl_->instruments.find(name);
   if (it == impl_->instruments.end()) {
-    it = impl_->instruments.emplace(name, std::make_unique<Gauge>()).first;
+    it = impl_->instruments
+             .emplace(name, Impl::Entry{std::make_unique<Gauge>()})
+             .first;
   }
-  auto* slot = std::get_if<std::unique_ptr<Gauge>>(&it->second);
+  auto* slot = std::get_if<std::unique_ptr<Gauge>>(&it->second.instrument);
   HPNN_CHECK(slot != nullptr,
                "metrics name '" + name + "' already registered as non-gauge");
   return **slot;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> upper_edges) {
+                                      std::vector<double> upper_edges,
+                                      Determinism determinism) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   auto it = impl_->instruments.find(name);
   if (it == impl_->instruments.end()) {
@@ -230,21 +248,27 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
       upper_edges = Histogram::default_time_edges_us();
     }
     it = impl_->instruments
-             .emplace(name, std::make_unique<Histogram>(std::move(upper_edges)))
+             .emplace(name, Impl::Entry{std::make_unique<Histogram>(
+                                std::move(upper_edges))})
              .first;
   }
-  auto* slot = std::get_if<std::unique_ptr<Histogram>>(&it->second);
+  auto* slot = std::get_if<std::unique_ptr<Histogram>>(&it->second.instrument);
   HPNN_CHECK(slot != nullptr, "metrics name '" + name +
                                     "' already registered as non-histogram");
+  if (determinism == Determinism::kSchedulingDependent) {
+    it->second.scheduling_dependent = true;
+  }
   return **slot;
 }
 
 Snapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   Snapshot snap;
-  for (const auto& [name, instrument] : impl_->instruments) {
+  for (const auto& [name, registered] : impl_->instruments) {
+    const Impl::Instrument& instrument = registered.instrument;
     if (const auto* c = std::get_if<std::unique_ptr<Counter>>(&instrument)) {
-      snap.counters.push_back({name, (*c)->value()});
+      snap.counters.push_back(
+          {name, (*c)->value(), registered.scheduling_dependent});
     } else if (const auto* g =
                    std::get_if<std::unique_ptr<Gauge>>(&instrument)) {
       snap.gauges.push_back({name, (*g)->value()});
@@ -261,6 +285,7 @@ Snapshot MetricsRegistry::snapshot() const {
       entry.p50 = (*h)->percentile(0.50);
       entry.p95 = (*h)->percentile(0.95);
       entry.p99 = (*h)->percentile(0.99);
+      entry.scheduling_dependent = registered.scheduling_dependent;
       snap.histograms.push_back(std::move(entry));
     }
   }
@@ -269,8 +294,8 @@ Snapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  for (auto& [name, instrument] : impl_->instruments) {
-    std::visit([](auto& ptr) { ptr->reset(); }, instrument);
+  for (auto& [name, registered] : impl_->instruments) {
+    std::visit([](auto& ptr) { ptr->reset(); }, registered.instrument);
   }
 }
 
@@ -279,11 +304,15 @@ void MetricsRegistry::reset() {
 
 void write_json(std::ostream& os, const Snapshot& snap, bool deterministic) {
   os << "{\n  \"counters\": {";
-  for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n") << "    \"" << snap.counters[i].name
-       << "\": " << snap.counters[i].value;
+  bool first = true;
+  for (const auto& c : snap.counters) {
+    if (omitted(c, deterministic)) {
+      continue;
+    }
+    os << (first ? "\n" : ",\n") << "    \"" << c.name << "\": " << c.value;
+    first = false;
   }
-  os << (snap.counters.empty() ? "}" : "\n  }");
+  os << (first ? "}" : "\n  }");
   if (!deterministic) {
     os << ",\n  \"gauges\": {";
     for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
@@ -293,10 +322,14 @@ void write_json(std::ostream& os, const Snapshot& snap, bool deterministic) {
     os << (snap.gauges.empty() ? "}" : "\n  }");
   }
   os << ",\n  \"histograms\": {";
-  for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-    const auto& h = snap.histograms[i];
-    os << (i == 0 ? "\n" : ",\n") << "    \"" << h.name << "\": {"
+  first = true;
+  for (const auto& h : snap.histograms) {
+    if (omitted(h, deterministic)) {
+      continue;
+    }
+    os << (first ? "\n" : ",\n") << "    \"" << h.name << "\": {"
        << "\"count\": " << h.count;
+    first = false;
     if (!deterministic) {
       os << ", \"sum\": " << format_double(h.sum)
          << ", \"min\": " << format_double(h.min)
@@ -315,13 +348,15 @@ void write_json(std::ostream& os, const Snapshot& snap, bool deterministic) {
     }
     os << "}";
   }
-  os << (snap.histograms.empty() ? "}" : "\n  }") << "\n}\n";
+  os << (first ? "}" : "\n  }") << "\n}\n";
 }
 
 void write_csv(std::ostream& os, const Snapshot& snap, bool deterministic) {
   os << "kind,name,field,value\n";
   for (const auto& c : snap.counters) {
-    os << "counter," << c.name << ",value," << c.value << "\n";
+    if (!omitted(c, deterministic)) {
+      os << "counter," << c.name << ",value," << c.value << "\n";
+    }
   }
   if (!deterministic) {
     for (const auto& g : snap.gauges) {
@@ -329,6 +364,9 @@ void write_csv(std::ostream& os, const Snapshot& snap, bool deterministic) {
     }
   }
   for (const auto& h : snap.histograms) {
+    if (omitted(h, deterministic)) {
+      continue;
+    }
     os << "histogram," << h.name << ",count," << h.count << "\n";
     if (!deterministic) {
       os << "histogram," << h.name << ",sum," << format_double(h.sum) << "\n";

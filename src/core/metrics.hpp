@@ -6,12 +6,14 @@
 // counter totals stay *exact* under any HPNN_THREADS setting; the registry
 // mutex is only taken on first lookup of a name and when snapshotting.
 //
-// Determinism contract (DESIGN.md §9): counters, gauges and histogram
-// sample counts are pure functions of the work performed, so the
-// *deterministic* snapshot view is byte-identical across identical runs.
-// Wall-clock-derived fields (histogram sums/buckets/percentiles, trace
-// timestamps) are measurements, not functions of the input, and are only
-// present in the full view.
+// Determinism contract (DESIGN.md §9): the *deterministic* snapshot view
+// holds only counter values and histogram sample counts, which are pure
+// functions of the work performed, so it is byte-identical across identical
+// runs at any thread count. Everything else is only present in the full
+// view: wall-clock-derived fields (gauges, histogram sums/buckets/
+// percentiles, trace timestamps), and every instrument registered as
+// Determinism::kSchedulingDependent (its value measures how the OS
+// scheduled the pool's threads, not the work done).
 //
 // Kill switch: compile-time -DHPNN_METRICS_DISABLED (CMake -DHPNN_METRICS=OFF)
 // pins enabled() to false; at runtime HPNN_METRICS=off (or "0") disables
@@ -43,6 +45,14 @@ void set_enabled(bool on);
 /// thread's lifetime; used as the trace lane and the log thread-id. Always
 /// available, even with metrics disabled.
 int thread_ordinal();
+
+/// Whether an instrument's value is a pure function of the work performed.
+/// Chosen when the instrument is registered; a kSchedulingDependent
+/// instrument is left out of the deterministic snapshot view.
+enum class Determinism {
+  kPure,
+  kSchedulingDependent,  // e.g. which thread happened to run a chunk
+};
 
 /// Monotonically increasing sum. Lock-free; totals are exact under
 /// concurrency (relaxed atomics — ordering is irrelevant for sums).
@@ -109,6 +119,7 @@ struct Snapshot {
   struct CounterEntry {
     std::string name;
     std::uint64_t value = 0;
+    bool scheduling_dependent = false;
   };
   struct GaugeEntry {
     std::string name;
@@ -125,6 +136,7 @@ struct Snapshot {
     double p50 = 0.0;
     double p95 = 0.0;
     double p99 = 0.0;
+    bool scheduling_dependent = false;
   };
   std::vector<CounterEntry> counters;
   std::vector<GaugeEntry> gauges;
@@ -141,13 +153,17 @@ class MetricsRegistry {
   static MetricsRegistry& instance();
 
   /// Create-or-lookup by name. Looking up an existing name with a different
-  /// instrument kind throws InvariantError.
-  Counter& counter(const std::string& name);
+  /// instrument kind throws InvariantError. A name registered as
+  /// kSchedulingDependent stays so: a later kPure lookup (e.g. to read the
+  /// value) does not clear the mark.
+  Counter& counter(const std::string& name,
+                   Determinism determinism = Determinism::kPure);
   Gauge& gauge(const std::string& name);
   /// `upper_edges` empty selects Histogram::default_time_edges_us(). Edges
   /// are fixed by the first registration; later lookups ignore the argument.
   Histogram& histogram(const std::string& name,
-                       std::vector<double> upper_edges = {});
+                       std::vector<double> upper_edges = {},
+                       Determinism determinism = Determinism::kPure);
 
   Snapshot snapshot() const;
 
@@ -166,13 +182,15 @@ class MetricsRegistry {
 
 /// JSON object {"counters":{...},"gauges":{...},"histograms":{...}} with
 /// keys in sorted order. `deterministic` drops every wall-clock-derived
-/// field (gauges, histogram sum/min/max/percentiles/buckets), leaving only
-/// counters and histogram sample counts — byte-identical across identical
-/// runs (DESIGN.md §9).
+/// field (gauges, histogram sum/min/max/percentiles/buckets) and every
+/// scheduling-dependent instrument, leaving only the pure counters and
+/// histogram sample counts — byte-identical across identical runs at any
+/// thread count (DESIGN.md §9).
 void write_json(std::ostream& os, const Snapshot& snap,
                 bool deterministic = false);
 
-/// CSV rows "kind,name,field,value", sorted; same deterministic filter.
+/// CSV rows "kind,name,field,value", sorted; same deterministic filter, so
+/// the deterministic CSV lists exactly what the deterministic JSON does.
 void write_csv(std::ostream& os, const Snapshot& snap,
                bool deterministic = false);
 

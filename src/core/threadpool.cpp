@@ -44,7 +44,9 @@ struct Job {
   std::mutex error_mutex;
   std::exception_ptr error;
   // Set at submission when metrics are enabled; workers observe the gap
-  // between this and their wake-up as "core.pool.queue_wait_us".
+  // between this and their wake-up as "core.pool.queue_wait_us". A worker
+  // that wakes only after the caller finished the job skips it, so the
+  // sample count depends on scheduling, not on the work.
   std::chrono::steady_clock::time_point submitted;
 
   struct DrainOutcome {
@@ -104,11 +106,14 @@ struct ThreadPool::Impl {
       std::shared_ptr<Job> current = job;
       lock.unlock();
       if (metrics::enabled()) {
+        static metrics::Histogram& queue_wait =
+            metrics::MetricsRegistry::instance().histogram(
+                "core.pool.queue_wait_us", {},
+                metrics::Determinism::kSchedulingDependent);
         const auto wait = std::chrono::steady_clock::now() - current->submitted;
-        HPNN_METRIC_OBSERVE(
-            "core.pool.queue_wait_us",
+        queue_wait.observe(static_cast<double>(
             std::chrono::duration_cast<std::chrono::microseconds>(wait)
-                .count());
+                .count()));
       }
       const Job::DrainOutcome outcome = current->drain();
       lock.lock();
@@ -207,9 +212,17 @@ void ThreadPool::run(std::int64_t begin, std::int64_t end, std::int64_t grain,
 
   // The caller is a full execution lane, not a spectator. The share of
   // chunks it ends up running is the chunk-imbalance signal: with perfect
-  // load spread it runs ~chunks/lanes of them.
+  // load spread it runs ~chunks/lanes of them. That share depends on how
+  // the OS scheduled the workers, so the counter stays out of the
+  // deterministic snapshot view.
   const Job::DrainOutcome caller = job->drain();
-  HPNN_METRIC_COUNT("core.pool.caller_chunks", caller.ran);
+  if (metrics::enabled()) {
+    static metrics::Counter& caller_chunks =
+        metrics::MetricsRegistry::instance().counter(
+            "core.pool.caller_chunks",
+            metrics::Determinism::kSchedulingDependent);
+    caller_chunks.add(static_cast<std::uint64_t>(caller.ran));
+  }
 
   {
     std::unique_lock<std::mutex> lock(impl_->mutex);

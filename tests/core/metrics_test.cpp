@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <thread>
 
 #include "core/error.hpp"
+#include "core/threadpool.hpp"
 
 namespace hpnn::metrics {
 namespace {
@@ -164,6 +167,91 @@ TEST(SnapshotTest, DeterministicViewOmitsWallClockFields) {
   EXPECT_EQ(det.str().find("\"p95\""), std::string::npos);
   EXPECT_NE(det.str().find("\"count\": 1"), std::string::npos);
 }
+
+TEST(SnapshotTest, DeterministicViewOmitsSchedulingDependentInstruments) {
+  reg().reset();
+  reg().counter("test.sched.counter", Determinism::kSchedulingDependent)
+      .add(3);
+  reg().histogram("test.sched.hist", {1.0},
+                  Determinism::kSchedulingDependent)
+      .observe(0.5);
+  reg().counter("test.sched.pure_counter").add(7);
+  reg().histogram("test.sched.pure_hist", {1.0}).observe(0.5);
+  // A later default lookup (e.g. to read the value) keeps the mark.
+  EXPECT_EQ(reg().counter("test.sched.counter").value(), 3u);
+  const Snapshot snap = reg().snapshot();
+
+  std::ostringstream full_json, det_json, full_csv, det_csv;
+  write_json(full_json, snap, /*deterministic=*/false);
+  write_json(det_json, snap, /*deterministic=*/true);
+  write_csv(full_csv, snap, /*deterministic=*/false);
+  write_csv(det_csv, snap, /*deterministic=*/true);
+
+  // The full views keep the scheduling-dependent instruments and values.
+  EXPECT_NE(full_json.str().find("\"test.sched.counter\": 3"),
+            std::string::npos);
+  EXPECT_NE(full_json.str().find("\"test.sched.hist\": {\"count\": 1,"),
+            std::string::npos);
+  EXPECT_NE(full_csv.str().find("counter,test.sched.counter,value,3"),
+            std::string::npos);
+  EXPECT_NE(full_csv.str().find("histogram,test.sched.hist,count,1"),
+            std::string::npos);
+
+  // Both deterministic views leave them out entirely...
+  EXPECT_EQ(det_json.str().find("test.sched.counter"), std::string::npos);
+  EXPECT_EQ(det_json.str().find("test.sched.hist"), std::string::npos);
+  EXPECT_EQ(det_csv.str().find("test.sched.counter"), std::string::npos);
+  EXPECT_EQ(det_csv.str().find("test.sched.hist"), std::string::npos);
+
+  // ...but keep the pure counters and histogram sample counts.
+  EXPECT_NE(det_json.str().find("\"test.sched.pure_counter\": 7"),
+            std::string::npos);
+  EXPECT_NE(det_json.str().find("\"test.sched.pure_hist\": {\"count\": 1}"),
+            std::string::npos);
+  EXPECT_NE(det_csv.str().find("counter,test.sched.pure_counter,value,7"),
+            std::string::npos);
+  EXPECT_NE(det_csv.str().find("histogram,test.sched.pure_hist,count,1"),
+            std::string::npos);
+}
+
+#ifndef HPNN_METRICS_DISABLED
+TEST(SnapshotTest, PoolSchedulingInstrumentsAreFullViewOnly) {
+  const bool was_enabled = enabled();
+  set_enabled(true);
+  const int previous_threads = core::thread_count();
+  core::set_thread_count(2);
+  reg().reset();
+  // Two chunks that each wait for the other to start: the caller and the
+  // worker must each run one, so the worker wakes (one queue-wait sample)
+  // and the caller drains exactly one chunk.
+  std::atomic<int> started{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  core::parallel_for(0, 2, 1, [&](std::int64_t, std::int64_t) {
+    started.fetch_add(1);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  core::set_thread_count(previous_threads);
+  const Snapshot snap = reg().snapshot();
+  set_enabled(was_enabled);
+  ASSERT_EQ(started.load(), 2);
+
+  std::ostringstream full, det;
+  write_json(full, snap, /*deterministic=*/false);
+  write_json(det, snap, /*deterministic=*/true);
+  EXPECT_NE(full.str().find("\"core.pool.caller_chunks\": 1,"),
+            std::string::npos);
+  EXPECT_NE(full.str().find("\"core.pool.queue_wait_us\": {\"count\": 1,"),
+            std::string::npos);
+  EXPECT_EQ(det.str().find("core.pool.caller_chunks"), std::string::npos);
+  EXPECT_EQ(det.str().find("core.pool.queue_wait_us"), std::string::npos);
+  // The chunk and job totals are pure functions of the work and stay.
+  EXPECT_NE(det.str().find("\"core.pool.chunks\": 2,"), std::string::npos);
+  EXPECT_NE(det.str().find("\"core.pool.jobs\": 1"), std::string::npos);
+}
+#endif
 
 TEST(SnapshotTest, CsvExportListsEveryInstrument) {
   reg().reset();

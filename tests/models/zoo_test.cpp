@@ -38,12 +38,24 @@ TEST(ZooTest, Cnn3NeuronCountMatchesTable1) {
   EXPECT_EQ(locked_neuron_count(Architecture::kCnn3, cfg(3, 32)), 29696);
 }
 
+// gtest prints a case byte by byte into the test's name, so the struct
+// holds no implicit padding: `reserved` fills the gap after the 4-byte enum
+// with zeros. Left as padding, those bytes were whatever the stack held, and
+// the test names changed from one listing to the next.
 struct ArchCase {
+  ArchCase(Architecture arch_, std::int64_t channels_, std::int64_t size_,
+           double width_)
+      : arch(arch_), channels(channels_), size(size_), width(width_) {}
+
   Architecture arch;
+  std::int32_t reserved = 0;
   std::int64_t channels;
   std::int64_t size;
   double width;
 };
+static_assert(sizeof(Architecture) == sizeof(std::int32_t) &&
+                  sizeof(ArchCase) == 32,
+              "ArchCase must stay free of padding bytes");
 
 class ArchBuildTest : public ::testing::TestWithParam<ArchCase> {};
 

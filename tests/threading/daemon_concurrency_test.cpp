@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -21,7 +22,11 @@ struct ThreadedHarness {
   ChaosModelBundle bundle = make_chaos_model(/*seed=*/33);
   std::unique_ptr<ServingSupervisor> supervisor;
   std::unique_ptr<ServeDaemon> daemon;
+  // A TrustedDevice is not safe for concurrent infer() calls (its weight
+  // and lock caches fill lazily and its traversal cursors are per device),
+  // so producers take turns on the reference through reference_classes().
   std::unique_ptr<hw::TrustedDevice> reference;
+  std::mutex reference_mutex;
 
   explicit ThreadedHarness(DaemonConfig daemon_config) {
     SupervisorConfig config;
@@ -36,6 +41,11 @@ struct ThreadedHarness {
         obf::derive_schedule_seed(bundle.master, bundle.model_id),
         config.device);
     reference->load_model(bundle.artifact);
+  }
+
+  std::vector<std::int64_t> reference_classes(const Tensor& images) {
+    const std::lock_guard<std::mutex> lock(reference_mutex);
+    return reference->classify(images);
   }
 
   Tensor batch(std::uint64_t seed) const {
@@ -73,7 +83,7 @@ TEST(DaemonConcurrencyTest, ConcurrentProducersAllGetCorrectAnswers) {
         const Tensor images = h.batch(seed);
         const Reply reply =
             h.daemon->submit("tenant" + std::to_string(p), images);
-        if (reply.classes == h.reference->classify(images)) {
+        if (reply.classes == h.reference_classes(images)) {
           correct.fetch_add(1);
         }
       }
