@@ -7,11 +7,16 @@
 
 #include <string>
 
+#include <sstream>
+
 #include "core/rng.hpp"
 #include "core/threadpool.hpp"
+#include "hpnn/calibration.hpp"
 #include "hpnn/locked_activation.hpp"
+#include "hpnn/model_io.hpp"
 #include "hpnn/scheduler.hpp"
 #include "hw/accumulator.hpp"
+#include "hw/device.hpp"
 #include "hw/mmu.hpp"
 #include "nn/layers.hpp"
 #include "tensor/backend.hpp"
@@ -245,6 +250,36 @@ void mmu_backend_body(benchmark::State& state, const std::string& backend) {
   state.SetItemsProcessed(state.iterations() * m * k * n);
 }
 
+/// End-to-end trusted-device inference on the perfbench geometry: a
+/// sign-locked CNN3 (width 0.5, 3x32x32, calibrated static scales), loaded
+/// while `backend` is active, served a batch of state.range(0) images.
+void device_cnn3_body(benchmark::State& state, const std::string& backend) {
+  ops::set_backend(backend);
+  models::ModelConfig cfg;
+  cfg.in_channels = 3;
+  cfg.image_size = 32;
+  cfg.width_mult = 0.5;
+  cfg.init_seed = 3;
+  Rng rng(17);
+  const obf::HpnnKey key = obf::HpnnKey::random(rng);
+  obf::Scheduler sched(99);
+  obf::LockedModel owner(models::Architecture::kCnn3, cfg, key, sched);
+  const auto scales = obf::calibrate_activation_scales(
+      owner, Tensor::normal(Shape{16, 3, 32, 32}, rng, 0.0f, 0.5f));
+  std::stringstream ss;
+  obf::publish_model(ss, owner, scales);
+  hw::TrustedDevice device(key, 99);
+  device.load_model(obf::read_published_model(ss));
+  const std::int64_t batch = state.range(0);
+  const Tensor images =
+      Tensor::normal(Shape{batch, 3, 32, 32}, rng, 0.0f, 0.5f);
+  for (auto _ : state) {
+    Tensor logits = device.infer(images);
+    benchmark::DoNotOptimize(logits.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+
 void register_backend_benchmarks() {
   for (const std::string& name : ops::backend_names()) {
     if (!ops::find_backend(name)->supported()) {
@@ -257,6 +292,11 @@ void register_backend_benchmarks() {
     benchmark::RegisterBenchmark(
         ("BM_MmuGemmI8Backend/" + name).c_str(),
         [name](benchmark::State& state) { mmu_backend_body(state, name); });
+    benchmark::RegisterBenchmark(
+        ("BM_DeviceInferCnn3/" + name).c_str(),
+        [name](benchmark::State& state) { device_cnn3_body(state, name); })
+        ->Arg(1)
+        ->Arg(8);
   }
 }
 

@@ -1,17 +1,13 @@
 #include "hw/device.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
 #include "core/error.hpp"
 #include "core/metrics.hpp"
-#include "core/threadpool.hpp"
 #include "hpnn/lock_scheme.hpp"
+#include "hw/device_plan.hpp"
 #include "hw/fault.hpp"
-#include "nn/batchnorm.hpp"
-#include "nn/layers.hpp"
-#include "nn/residual.hpp"
-#include "tensor/ops.hpp"
+#include "tensor/backend.hpp"
 
 namespace hpnn::hw {
 
@@ -22,16 +18,14 @@ TrustedDevice::TrustedDevice(const obf::HpnnKey& key,
   key_store_.seal();  // end-user hardware never exposes the secrets
 }
 
+TrustedDevice::~TrustedDevice() = default;
+
 void TrustedDevice::load_model(const obf::PublishedModel& artifact) {
   key_store_.check_integrity();
   // Resolve the artifact's locking scheme first: an unknown tag fails
   // closed (SerializationError) before any state changes.
   const obf::LockScheme& scheme = obf::scheme_by_tag(artifact.scheme_tag);
   scheme.validate_payload(artifact.scheme_payload);
-  // Stage every fallible step before touching device state: a corrupt
-  // artifact that throws partway (bad weights, shape mismatch, allocation
-  // failure) must leave the previously loaded model — and the caches and
-  // static-quant scales that belong to it — fully intact.
   std::unique_ptr<nn::Sequential> net;
   if (scheme.transforms_weights()) {
     // On-chip decryption at load: invert the published transform with the
@@ -47,21 +41,45 @@ void TrustedDevice::load_model(const obf::PublishedModel& artifact) {
     net = obf::instantiate_baseline(artifact);
   }
   net->set_training(false);
-  std::vector<float> scales = artifact.activation_scales;
-  // Commit point: nothing below throws.
-  net_ = std::move(net);
-  weight_cache_.clear();
-  lock_cache_.clear();
-  activation_scales_ = std::move(scales);
-  activation_locks_ = scheme.uses_activation_locks();
-  in_channels_ = artifact.in_channels;
-  image_size_ = artifact.image_size;
+  // Build the whole plan before touching device state: a corrupt artifact
+  // that throws partway leaves the previous plan serving.
+  std::unique_ptr<DevicePlan> plan = compile_plan(
+      std::move(net), artifact.in_channels, artifact.image_size,
+      artifact.activation_scales, scheme.uses_activation_locks(),
+      ops::backend());
+  expand_locks(*plan);
+  plan_ = std::move(plan);  // commit point: the swap cannot throw
+}
+
+void TrustedDevice::expand_locks(DevicePlan& plan) const {
+  for (DevicePlan::Op& op : plan.ops) {
+    if (op.lock_index < 0) {
+      continue;
+    }
+    // On-chip expansion of the sealed key through the private scheduler —
+    // the same derivation the owner used at training time.
+    const obf::LockSpec spec{"device_act", op.lock_index, op.out_shape};
+    const Tensor mask = key_store_.scheduler().lock_mask(spec, key_store_.key_);
+    const float* m = mask.data();
+    const auto count = static_cast<std::size_t>(mask.numel());
+    if (op.kind == DevicePlan::Kind::kRelu) {
+      op.mask.assign(m, m + count);
+      continue;
+    }
+    // Bias is preloaded into the same keyed accumulator on real hardware,
+    // so the lock sign applies to it as well.
+    op.negate.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      op.negate[i] = m[i] < 0.0f;
+      op.sign_bias[i] = (op.negate[i] != 0 ? -1.0f : 1.0f) * op.bias[i];
+    }
+  }
 }
 
 obf::AttestationResult TrustedDevice::self_test(
     const obf::AttestationChallenge& challenge) {
   key_store_.check_integrity();
-  HPNN_CHECK(net_ != nullptr, "no model loaded for device self-test");
+  HPNN_CHECK(plan_ != nullptr, "no model loaded for device self-test");
   return obf::check_response(challenge, classify(challenge.probes));
 }
 
@@ -70,308 +88,25 @@ void TrustedDevice::attach_fault_injector(FaultInjector* injector) {
   mmu_.attach_fault_injector(injector);
   if (injector != nullptr) {
     injector->apply_key_faults(key_store_);
-    // Lock masks derive from the (now possibly faulted) key bits.
-    lock_cache_.clear();
+    if (plan_ != nullptr) {
+      // Lock masks derive from the (now possibly faulted) key bits.
+      auto plan = std::make_unique<DevicePlan>(*plan_);
+      expand_locks(*plan);
+      plan_ = std::move(plan);
+    }
   }
 }
 
-QuantizedTensor TrustedDevice::quantize_mac_input(const Tensor& x) {
-  const std::int64_t idx = mac_cursor_++;
-  if (idx < static_cast<std::int64_t>(activation_scales_.size())) {
-    float scale = activation_scales_[static_cast<std::size_t>(idx)];
-    if (fault_ != nullptr) {
-      scale = fault_->corrupt_scale(scale, idx);
-    }
-    return quantize_with_scale(x, scale);
-  }
-  QuantizedTensor q = quantize(x);  // dynamic fallback
-  if (fault_ != nullptr) {
-    // The fault hits the scale register after quantization: the int8
-    // values are consistent, but the dequantization factor read back by
-    // the accumulator drain path is wrong.
-    q.scale = fault_->corrupt_scale(q.scale, idx);
-  }
-  return q;
-}
-
-const QuantizedTensor& TrustedDevice::quantized_weights(
-    const nn::Module* layer, const Tensor& weights) {
-  auto it = weight_cache_.find(layer);
-  if (it == weight_cache_.end()) {
-    it = weight_cache_.emplace(layer, quantize(weights)).first;
-  }
-  return it->second;
-}
-
-const TrustedDevice::LockInfo& TrustedDevice::lock_for_activation(
-    std::int64_t activation_index, const Shape& act_shape) {
-  auto it = lock_cache_.find(activation_index);
-  if (it == lock_cache_.end()) {
-    // On-chip expansion of the sealed key through the private scheduler —
-    // the same derivation the owner used at training time.
-    obf::LockSpec spec{"device_act", activation_index, act_shape};
-    LockInfo info;
-    info.mask = key_store_.scheduler().lock_mask(spec, key_store_.key_);
-    info.negate.resize(static_cast<std::size_t>(info.mask.numel()));
-    for (std::int64_t i = 0; i < info.mask.numel(); ++i) {
-      info.negate[static_cast<std::size_t>(i)] = info.mask.at(i) < 0.0f;
-    }
-    it = lock_cache_.emplace(activation_index, std::move(info)).first;
-  }
-  HPNN_CHECK(it->second.mask.shape() == act_shape,
-             "device lock mask shape mismatch at activation " +
-                 std::to_string(activation_index));
-  return it->second;
-}
-
-Tensor TrustedDevice::exec_conv(nn::Conv2d& conv, Tensor x,
-                                const LockInfo* lock) {
-  const auto& g = conv.geometry();
-  const std::int64_t batch = x.dim(0);
-  const std::int64_t filters = conv.out_channels();
-  const std::int64_t oh = g.out_h();
-  const std::int64_t ow = g.out_w();
-  const std::int64_t ckk = g.in_channels * g.kernel * g.kernel;
-
-  const QuantizedTensor& wq = quantized_weights(&conv, conv.weight().value);
-  const QuantizedTensor xq = quantize_mac_input(x);
-  const float out_scale = wq.scale * xq.scale;
-
-  Tensor out(Shape{batch, filters, oh, ow});
-  const std::int64_t in_sample = g.in_channels * g.in_h * g.in_w;
-  const std::int64_t out_sample = filters * oh * ow;
-  const std::span<const std::uint8_t> negate =
-      lock ? std::span<const std::uint8_t>(lock->negate)
-           : std::span<const std::uint8_t>();
-
-  const nn::Parameter* bias = conv.bias();
-  // Per-sample MMU tiles are independent, so the batch fans out over the
-  // pool with per-chunk im2col/accumulator scratch. Integer arithmetic is
-  // exact, so results don't depend on the partition. With a fault injector
-  // attached the loop stays serial: fault draws consume the injector's RNG
-  // in GEMM issue order, which must match the single-threaded campaigns.
-  auto sample_range = [&](std::int64_t n0, std::int64_t n1) {
-    std::vector<std::int8_t> cols(static_cast<std::size_t>(ckk * oh * ow));
-    std::vector<std::int32_t> acc(
-        static_cast<std::size_t>(filters * oh * ow));
-    for (std::int64_t nidx = n0; nidx < n1; ++nidx) {
-      ops::im2col(xq.values.data() + nidx * in_sample, g, cols.data());
-      mmu_.matmul_i8(std::span<const std::int8_t>(wq.values), filters, ckk,
-                     std::span<const std::int8_t>(cols), oh * ow, negate,
-                     std::span<std::int32_t>(acc));
-      float* dst = out.data() + nidx * out_sample;
-      for (std::int64_t f = 0; f < filters; ++f) {
-        const float b = bias ? bias->value.at(f) : 0.0f;
-        for (std::int64_t i = 0; i < oh * ow; ++i) {
-          const std::int64_t idx = f * oh * ow + i;
-          // Bias is preloaded into the same keyed accumulator on real
-          // hardware, so the lock sign applies to it as well.
-          const float sign =
-              (lock && lock->negate[static_cast<std::size_t>(idx)]) ? -1.0f
-                                                                    : 1.0f;
-          dst[idx] = static_cast<float>(acc[static_cast<std::size_t>(idx)]) *
-                         out_scale +
-                     sign * b;
-        }
-      }
-    }
-  };
-  if (fault_ != nullptr || batch == 1) {
-    sample_range(0, batch);
-  } else {
-    core::parallel_for(0, batch, 1, sample_range);
-  }
-  return out;
-}
-
-Tensor TrustedDevice::exec_linear(nn::Linear& fc, Tensor x,
-                                  const LockInfo* lock) {
-  const std::int64_t batch = x.dim(0);
-  const std::int64_t in_f = fc.in_features();
-  const std::int64_t out_f = fc.out_features();
-
-  // Cache the transposed int8 weights ([in, out] layout for the MMU).
-  auto it = weight_cache_.find(&fc);
-  if (it == weight_cache_.end()) {
-    QuantizedTensor wq = quantize(fc.weight().value);  // [out, in]
-    QuantizedTensor wt;
-    wt.scale = wq.scale;
-    wt.shape = Shape{in_f, out_f};
-    wt.values.resize(wq.values.size());
-    for (std::int64_t o = 0; o < out_f; ++o) {
-      for (std::int64_t i = 0; i < in_f; ++i) {
-        wt.values[static_cast<std::size_t>(i * out_f + o)] =
-            wq.values[static_cast<std::size_t>(o * in_f + i)];
-      }
-    }
-    it = weight_cache_.emplace(&fc, std::move(wt)).first;
-  }
-  const QuantizedTensor& wt = it->second;
-  const QuantizedTensor xq = quantize_mac_input(x);
-  const float out_scale = wt.scale * xq.scale;
-
-  // Per-sample lock mask tiled across the batch rows.
-  std::vector<std::uint8_t> negate;
-  if (lock) {
-    negate.resize(static_cast<std::size_t>(batch * out_f));
-    for (std::int64_t n = 0; n < batch; ++n) {
-      std::copy(lock->negate.begin(), lock->negate.end(),
-                negate.begin() + n * out_f);
-    }
-  }
-
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(batch * out_f));
-  mmu_.matmul_i8(std::span<const std::int8_t>(xq.values), batch, in_f,
-                 std::span<const std::int8_t>(wt.values), out_f,
-                 std::span<const std::uint8_t>(negate),
-                 std::span<std::int32_t>(acc));
-
-  Tensor out(Shape{batch, out_f});
-  const nn::Parameter* bias = fc.bias();
-  for (std::int64_t n = 0; n < batch; ++n) {
-    for (std::int64_t o = 0; o < out_f; ++o) {
-      const float b = bias ? bias->value.at(o) : 0.0f;
-      const float sign =
-          (lock && lock->negate[static_cast<std::size_t>(o)]) ? -1.0f : 1.0f;
-      out.at(n, o) =
-          static_cast<float>(acc[static_cast<std::size_t>(n * out_f + o)]) *
-              out_scale +
-          sign * b;
-    }
-  }
-  return out;
-}
-
-Tensor TrustedDevice::exec_module(nn::Module& m, nn::Module* next, Tensor x,
-                                  bool& fused_activation) {
-  if (auto* seq = dynamic_cast<nn::Sequential*>(&m)) {
-    return exec_sequential(*seq, std::move(x));
-  }
-  if (auto* res = dynamic_cast<nn::Residual*>(&m)) {
-    Tensor main_out = exec_module(res->main(), nullptr, x, fused_activation);
-    Tensor skip = res->shortcut()
-                      ? exec_module(*res->shortcut(), nullptr, x,
-                                    fused_activation)
-                      : std::move(x);
-    main_out.add_(skip);  // vector-unit elementwise add
-    if (res->post() != nullptr) {
-      bool no_fuse = false;
-      main_out = exec_module(*res->post(), nullptr, std::move(main_out),
-                             no_fuse);
-    }
-    return main_out;
-  }
-  if (auto* conv = dynamic_cast<nn::Conv2d*>(&m)) {
-    const LockInfo* lock = nullptr;
-    if (activation_locks_ && dynamic_cast<nn::ReLU*>(next) != nullptr) {
-      const Shape act_shape{conv->out_channels(), conv->geometry().out_h(),
-                            conv->geometry().out_w()};
-      lock = &lock_for_activation(activation_cursor_, act_shape);
-      fused_activation = true;
-    }
-    return exec_conv(*conv, std::move(x), lock);
-  }
-  if (auto* fc = dynamic_cast<nn::Linear*>(&m)) {
-    const LockInfo* lock = nullptr;
-    if (activation_locks_ && dynamic_cast<nn::ReLU*>(next) != nullptr) {
-      lock = &lock_for_activation(activation_cursor_,
-                                  Shape{fc->out_features()});
-      fused_activation = true;
-    }
-    return exec_linear(*fc, std::move(x), lock);
-  }
-  if (dynamic_cast<nn::ReLU*>(&m) != nullptr) {
-    const std::int64_t per_sample = x.numel() / x.dim(0);
-    if (activation_locks_ && !fused_activation) {
-      // Activation fed by a vector-unit op: apply the lock sign at the
-      // activation-unit input.
-      std::vector<std::int64_t> dims(x.shape().dims().begin() + 1,
-                                     x.shape().dims().end());
-      const LockInfo& lock =
-          lock_for_activation(activation_cursor_, Shape(dims));
-      const float* mask = lock.mask.data();
-      for (std::int64_t n = 0; n < x.dim(0); ++n) {
-        float* row = x.data() + n * per_sample;
-        for (std::int64_t i = 0; i < per_sample; ++i) {
-          row[i] *= mask[i];
-        }
-      }
-    }
-    fused_activation = false;
-    ++activation_cursor_;
-    for (auto& v : x.span()) {
-      v = std::max(v, 0.0f);  // the on-chip activation module
-    }
-    return x;
-  }
-  if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
-    // Stateless running-stats normalization owned by nn::BatchNorm2d; the
-    // device no longer carries its own copy of the formula.
-    return bn->eval_forward(x);
-  }
-  if (auto* pool = dynamic_cast<nn::MaxPool2d*>(&m)) {
-    return pool->forward(x);  // host op, stateless at inference
-  }
-  if (auto* apool = dynamic_cast<nn::AvgPool2d*>(&m)) {
-    return ops::avgpool2d_forward(x, apool->kernel(), apool->stride());
-  }
-  if (dynamic_cast<nn::Flatten*>(&m) != nullptr) {
-    const std::int64_t n = x.dim(0);
-    return x.reshaped(Shape{n, x.numel() / n});
-  }
-  if (dynamic_cast<nn::GlobalAvgPool*>(&m) != nullptr) {
-    return ops::global_avgpool_forward(x);
-  }
-  if (dynamic_cast<nn::Dropout*>(&m) != nullptr) {
-    return x;  // identity at inference
-  }
-  HPNN_CHECK(false, "trusted device cannot execute module '" + m.name() + "'");
-}
-
-Tensor TrustedDevice::exec_sequential(nn::Sequential& seq, Tensor x) {
-  bool fused = false;
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    nn::Module* next = (i + 1 < seq.size()) ? &seq.at(i + 1) : nullptr;
-    x = exec_module(seq.at(i), next, std::move(x), fused);
-  }
-  return x;
-}
-
-namespace {
-
-/// Zeroes the per-inference traversal cursors on construction and again on
-/// scope exit — including exception unwinding — so a request that dies
-/// mid-batch cannot leave the *next* request reading misaligned lock masks
-/// or static quantization scales.
-class CursorGuard {
- public:
-  CursorGuard(std::int64_t& activation_cursor, std::int64_t& mac_cursor)
-      : activation_cursor_(activation_cursor), mac_cursor_(mac_cursor) {
-    activation_cursor_ = 0;
-    mac_cursor_ = 0;
-  }
-  ~CursorGuard() {
-    activation_cursor_ = 0;
-    mac_cursor_ = 0;
-  }
-  CursorGuard(const CursorGuard&) = delete;
-  CursorGuard& operator=(const CursorGuard&) = delete;
-
- private:
-  std::int64_t& activation_cursor_;
-  std::int64_t& mac_cursor_;
-};
-
-}  // namespace
-
-Tensor TrustedDevice::infer(const Tensor& images) {
-  HPNN_CHECK(net_ != nullptr, "no model loaded on the trusted device");
-  if (images.rank() != 4 || images.dim(1) != in_channels_ ||
-      images.dim(2) != image_size_ || images.dim(3) != image_size_) {
+Tensor TrustedDevice::infer(const Tensor& images) const {
+  HPNN_CHECK(plan_ != nullptr, "no model loaded on the trusted device");
+  const DevicePlan& plan = *plan_;
+  if (images.rank() != 4 || images.dim(1) != plan.in_channels ||
+      images.dim(2) != plan.image_size || images.dim(3) != plan.image_size) {
     throw ShapeError(
-        "device input must be [N, " + std::to_string(in_channels_) + ", " +
-        std::to_string(image_size_) + ", " + std::to_string(image_size_) +
-        "], got " + images.shape().to_string());
+        "device input must be [N, " + std::to_string(plan.in_channels) +
+        ", " + std::to_string(plan.image_size) + ", " +
+        std::to_string(plan.image_size) + "], got " +
+        images.shape().to_string());
   }
   // Batched-serving latency: one histogram sample per infer() request, so
   // the snapshot's p50/p95/p99 describe request latency and its count
@@ -386,11 +121,10 @@ Tensor TrustedDevice::infer(const Tensor& images) {
   metrics::TraceSpan span("hw.device.infer", latency);
   HPNN_METRIC_COUNT("hw.device.infer.requests", 1);
   HPNN_METRIC_COUNT("hw.device.infer.samples", images.dim(0));
-  CursorGuard cursors(activation_cursor_, mac_cursor_);
-  return exec_sequential(*net_, images);
+  return run_plan(plan, images, mmu_, fault_);
 }
 
-std::vector<std::int64_t> TrustedDevice::classify(const Tensor& images) {
+std::vector<std::int64_t> TrustedDevice::classify(const Tensor& images) const {
   return ops::argmax_rows(infer(images));
 }
 

@@ -18,9 +18,15 @@
 // the private scheduling algorithm — independently from, but identically
 // to, the owner's training-time derivation (the correctness contract
 // verified by tests/hw/device_test.cpp).
+//
+// load_model compiles the artifact once into an immutable execution plan
+// (DevicePlan): a flat op list with int8 weights prepared for the active
+// compute backend, lock masks expanded into per-output negate bytes and
+// sign·bias terms, static scales bound and MAC+ReLU fusion decided. infer()
+// is a const walk over that plan, so concurrent calls on one device are
+// safe (with no fault injector attached).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -33,6 +39,7 @@
 namespace hpnn::hw {
 
 class FaultInjector;
+struct DevicePlan;
 
 struct DeviceConfig {
   Fidelity fidelity = Fidelity::kFast;
@@ -47,20 +54,23 @@ class TrustedDevice {
   /// hardware handed to an end-user).
   TrustedDevice(const obf::HpnnKey& key, std::uint64_t schedule_seed,
                 DeviceConfig config = {});
+  ~TrustedDevice();
 
-  /// Loads a model-zoo artifact (weights are quantized lazily per layer).
+  /// Loads a model-zoo artifact and compiles it into the execution plan:
+  /// weights are quantized and laid out for the active compute backend
+  /// (the plan keeps that backend even if the active one changes later).
   /// The artifact's scheme tag selects the registered LockScheme: unknown
   /// tags fail closed with SerializationError, weight-transforming schemes
   /// (weight-stream) are decrypted on load with the sealed secrets, and
   /// activation lock masks are applied only for schemes that use them
-  /// (sign-lock). Fails fast with KeyError if the sealed key store no
-  /// longer passes its integrity check — a corrupted device must not serve
-  /// predictions. Strong exception safety: if instantiating the artifact
-  /// throws partway (corrupt weights, shape mismatch), the previously
-  /// loaded model and all derived caches remain fully intact and keep
-  /// serving.
+  /// (sign-lock). An artifact whose layers do not fit its input geometry,
+  /// or that holds a layer the device cannot execute, is rejected here.
+  /// Fails fast with KeyError if the sealed key store no longer passes its
+  /// integrity check — a corrupted device must not serve predictions.
+  /// Strong exception safety: the new plan is built completely, then
+  /// swapped in, so a failure leaves the previous model serving.
   void load_model(const obf::PublishedModel& artifact);
-  bool has_model() const { return net_ != nullptr; }
+  bool has_model() const { return plan_ != nullptr; }
 
   /// Post-load health check: verifies key-store integrity (KeyError on
   /// mismatch) and replays an attestation challenge bundled with the
@@ -70,67 +80,40 @@ class TrustedDevice {
       const obf::AttestationChallenge& challenge);
 
   /// Attaches a fault-injection engine (nullptr detaches). Planned key-bit
-  /// SEUs are applied immediately and persist for the device's lifetime;
-  /// transient accumulator/scale faults fire during subsequent inference.
+  /// SEUs are applied immediately and persist for the device's lifetime
+  /// (the loaded plan's lock masks are re-derived from the faulted key);
+  /// transient accumulator/scale faults fire during subsequent inference,
+  /// which then runs serially so fault draws follow GEMM issue order.
   /// Without an injector every hook reduces to a null-pointer test.
   void attach_fault_injector(FaultInjector* injector);
 
   /// Runs inference on a batch [N, C, H, W]; returns logits [N, classes].
   /// Throws ShapeError if the batch does not match the loaded artifact's
-  /// input geometry (serving inputs are untrusted). The per-inference
-  /// traversal cursors are managed by a scope guard, so an exception
-  /// unwinding mid-inference (shape error, injected fault) cannot leave the
-  /// device with misaligned lock masks or quantization scales for the next
-  /// request.
-  Tensor infer(const Tensor& images);
+  /// input geometry (serving inputs are untrusted). Holds no per-request
+  /// state between calls, so an exception unwinding mid-inference cannot
+  /// affect the next request, and concurrent calls are safe. Non-finite
+  /// pixels quantize to defined values (NaN to 0, ±inf saturate).
+  Tensor infer(const Tensor& images) const;
 
   /// Argmax class per sample.
-  std::vector<std::int64_t> classify(const Tensor& images);
+  std::vector<std::int64_t> classify(const Tensor& images) const;
 
   const MmuStats& mmu_stats() const { return mmu_.stats(); }
   void reset_stats() { mmu_.reset_stats(); }
   const SecureKeyStore& key_store() const { return key_store_; }
 
  private:
-  struct LockInfo {
-    Tensor mask;                         // per-sample {+1,-1}
-    std::vector<std::uint8_t> negate;    // mask < 0, flattened
-  };
-
-  /// Walks a module subtree, executing layers on the modeled datapath.
-  /// `next` peeks at the module following `m` within its parent Sequential
-  /// (nullptr at the end) for MAC+activation fusion.
-  Tensor exec_module(nn::Module& m, nn::Module* next, Tensor x,
-                     bool& fused_activation);
-  Tensor exec_sequential(nn::Sequential& seq, Tensor x);
-  Tensor exec_conv(nn::Conv2d& conv, Tensor x, const LockInfo* lock);
-  Tensor exec_linear(nn::Linear& fc, Tensor x, const LockInfo* lock);
-
-  const QuantizedTensor& quantized_weights(const nn::Module* layer,
-                                           const Tensor& weights);
-  const LockInfo& lock_for_activation(std::int64_t activation_index,
-                                      const Shape& act_shape);
-
-  /// Quantizes a MAC-layer input: with the artifact's calibrated static
-  /// scale when available, dynamically otherwise. Advances mac_cursor_.
-  QuantizedTensor quantize_mac_input(const Tensor& x);
+  /// Derives every lock site's negate bytes, sign·bias terms and
+  /// vector-unit masks from the sealed key (on-chip key expansion).
+  void expand_locks(DevicePlan& plan) const;
 
   SecureKeyStore key_store_;
   DeviceConfig config_;
-  Mmu mmu_;
+  /// The MMU's statistics are its only mutable state (mutex-guarded), so
+  /// const inference may drive it.
+  mutable Mmu mmu_;
   FaultInjector* fault_ = nullptr;
-  std::unique_ptr<nn::Sequential> net_;  // structure + published weights
-  std::map<const nn::Module*, QuantizedTensor> weight_cache_;
-  std::map<std::int64_t, LockInfo> lock_cache_;
-  std::vector<float> activation_scales_;  // static quant (may be empty)
-  /// Whether the loaded artifact's scheme locks activations (sign-lock).
-  /// Weight-transforming schemes protect at load time instead, so the lock
-  /// fetch/XOR sites are skipped entirely for them.
-  bool activation_locks_ = true;
-  std::int64_t in_channels_ = 0;          // artifact input geometry
-  std::int64_t image_size_ = 0;
-  std::int64_t activation_cursor_ = 0;  // per-inference traversal counter
-  std::int64_t mac_cursor_ = 0;         // per-inference MAC-layer counter
+  std::unique_ptr<const DevicePlan> plan_;
 };
 
 }  // namespace hpnn::hw

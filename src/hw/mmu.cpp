@@ -17,37 +17,49 @@ double MmuStats::utilization() const {
   return static_cast<double>(mac_ops) / peak;
 }
 
+void Mmu::check_operands(std::int64_t m, std::int64_t k, std::int64_t n,
+                         std::size_t a_size, std::size_t w_size,
+                         std::size_t negate_size, std::size_t out_size) {
+  HPNN_CHECK(m > 0 && k > 0 && n > 0, "MMU matmul with empty dims");
+  HPNN_CHECK(static_cast<std::int64_t>(a_size) == m * k,
+             "MMU: activation operand size mismatch");
+  HPNN_CHECK(static_cast<std::int64_t>(w_size) == k * n,
+             "MMU: weight operand size mismatch");
+  HPNN_CHECK(static_cast<std::int64_t>(out_size) == m * n,
+             "MMU: output size mismatch");
+  HPNN_CHECK(negate_size == 0 ||
+                 static_cast<std::int64_t>(negate_size) == m * n,
+             "MMU: negate mask size mismatch");
+}
+
+void Mmu::bit_accurate(const std::int8_t* a, std::int64_t m, std::int64_t k,
+                       const std::int8_t* w, std::int64_t n,
+                       std::span<const std::uint8_t> negate,
+                       std::span<std::int32_t> out) {
+  // Every product goes through the keyed FA-chain accumulator. Slow; for
+  // tests and small demos only.
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      const bool key_bit = !negate.empty() && negate[i * n + j] != 0;
+      KeyedAccumulator acc(key_bit, Fidelity::kBitAccurate);
+      for (std::int64_t p = 0; p < k; ++p) {
+        const auto product = static_cast<std::int16_t>(
+            static_cast<std::int16_t>(a[i * k + p]) *
+            static_cast<std::int16_t>(w[p * n + j]));
+        acc.accumulate(product);
+      }
+      out[i * n + j] = acc.value();
+    }
+  }
+}
+
 void Mmu::matmul_i8(std::span<const std::int8_t> a, std::int64_t m,
                     std::int64_t k, std::span<const std::int8_t> w,
                     std::int64_t n, std::span<const std::uint8_t> negate,
                     std::span<std::int32_t> out) {
-  HPNN_CHECK(m > 0 && k > 0 && n > 0, "MMU matmul with empty dims");
-  HPNN_CHECK(static_cast<std::int64_t>(a.size()) == m * k,
-             "MMU: activation operand size mismatch");
-  HPNN_CHECK(static_cast<std::int64_t>(w.size()) == k * n,
-             "MMU: weight operand size mismatch");
-  HPNN_CHECK(static_cast<std::int64_t>(out.size()) == m * n,
-             "MMU: output size mismatch");
-  HPNN_CHECK(negate.empty() ||
-                 static_cast<std::int64_t>(negate.size()) == m * n,
-             "MMU: negate mask size mismatch");
-
+  check_operands(m, k, n, a.size(), w.size(), negate.size(), out.size());
   if (fidelity_ == Fidelity::kBitAccurate) {
-    // Gate-accurate: every product goes through the keyed FA-chain
-    // accumulator. Slow; for tests and small demos only.
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) {
-        const bool key_bit = !negate.empty() && negate[i * n + j] != 0;
-        KeyedAccumulator acc(key_bit, Fidelity::kBitAccurate);
-        for (std::int64_t p = 0; p < k; ++p) {
-          const auto product = static_cast<std::int16_t>(
-              static_cast<std::int16_t>(a[i * k + p]) *
-              static_cast<std::int16_t>(w[p * n + j]));
-          acc.accumulate(product);
-        }
-        out[i * n + j] = acc.value();
-      }
-    }
+    bit_accurate(a.data(), m, k, w.data(), n, negate, out);
   } else {
     // Fast-fidelity datapath: the active compute backend's int8 kernel.
     // 32-bit wrap-around accumulation is modular arithmetic, so every
@@ -57,7 +69,37 @@ void Mmu::matmul_i8(std::span<const std::int8_t> a, std::int64_t m,
                              negate.empty() ? nullptr : negate.data(),
                              out.data());
   }
+  finish(m, k, n, negate, out);
+}
 
+void Mmu::matmul_i8_prepared(const core::PreparedI8& w,
+                             std::span<const std::int8_t> x,
+                             std::int64_t x_extent,
+                             std::span<const std::uint8_t> negate,
+                             std::span<std::int32_t> out) {
+  HPNN_CHECK(w.backend != nullptr, "MMU: weights were never prepared");
+  const bool left = w.side == core::PreparedI8::Side::kLeft;
+  // The operand order matmul_i8 would see: A[m, k] @ B[k, n].
+  const std::int64_t m = left ? w.rows : x_extent;
+  const std::int64_t k = left ? w.cols : w.rows;
+  const std::int64_t n = left ? x_extent : w.cols;
+  check_operands(m, k, n, left ? w.values.size() : x.size(),
+                 left ? x.size() : w.values.size(), negate.size(),
+                 out.size());
+  if (fidelity_ == Fidelity::kBitAccurate) {
+    bit_accurate(left ? w.values.data() : x.data(), m, k,
+                 left ? x.data() : w.values.data(), n, negate, out);
+  } else {
+    w.backend->matmul_i8_prepared(w, x.data(), x_extent,
+                                  negate.empty() ? nullptr : negate.data(),
+                                  out.data());
+  }
+  finish(m, k, n, negate, out);
+}
+
+void Mmu::finish(std::int64_t m, std::int64_t k, std::int64_t n,
+                 std::span<const std::uint8_t> negate,
+                 std::span<std::int32_t> out) {
   if (fault_ != nullptr) {
     // SEUs strike the accumulator registers holding the partial sums,
     // after the keyed accumulation but before write-back to the unified

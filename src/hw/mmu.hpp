@@ -10,6 +10,7 @@
 #include <mutex>
 #include <span>
 
+#include "core/compute_backend.hpp"
 #include "hw/accumulator.hpp"
 
 namespace hpnn::hw {
@@ -47,6 +48,19 @@ class Mmu {
                  std::int64_t n, std::span<const std::uint8_t> negate,
                  std::span<std::int32_t> out);
 
+  /// The same GEMM against weights laid out once at model load by
+  /// ComputeBackend::prepare_i8: kLeft computes out[rows * x_extent] =
+  /// W @ x (x is [cols, x_extent]), kRight out[x_extent * cols] = x @ W
+  /// (x is [x_extent, rows]). Runs on the backend that prepared `w`, not
+  /// the active one. Statistics, counters, fault hooks and the
+  /// gate-accurate path treat it exactly as matmul_i8 with the operands in
+  /// that order.
+  void matmul_i8_prepared(const core::PreparedI8& w,
+                          std::span<const std::int8_t> x,
+                          std::int64_t x_extent,
+                          std::span<const std::uint8_t> negate,
+                          std::span<std::int32_t> out);
+
   const MmuStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
   Fidelity fidelity() const { return fidelity_; }
@@ -57,6 +71,20 @@ class Mmu {
   void attach_fault_injector(FaultInjector* injector) { fault_ = injector; }
 
  private:
+  /// Shape checks shared by both entry points.
+  static void check_operands(std::int64_t m, std::int64_t k, std::int64_t n,
+                             std::size_t a_size, std::size_t w_size,
+                             std::size_t negate_size, std::size_t out_size);
+  /// Gate-accurate product through the keyed FA-chain accumulators.
+  static void bit_accurate(const std::int8_t* a, std::int64_t m,
+                           std::int64_t k, const std::int8_t* w,
+                           std::int64_t n, std::span<const std::uint8_t> negate,
+                           std::span<std::int32_t> out);
+  /// Fault hooks, then the cycle model, stats and counters of one GEMM.
+  void finish(std::int64_t m, std::int64_t k, std::int64_t n,
+              std::span<const std::uint8_t> negate,
+              std::span<std::int32_t> out);
+
   Fidelity fidelity_;
   MmuStats stats_;
   // Guards stats_ when the device fans sample tiles out across the thread

@@ -4,40 +4,39 @@
 #include <cmath>
 
 #include "core/error.hpp"
+#include "tensor/backend.hpp"
 
 namespace hpnn::hw {
 
-QuantizedTensor quantize(const Tensor& x) {
-  QuantizedTensor q;
-  q.shape = x.shape();
-  q.values.resize(static_cast<std::size_t>(x.numel()));
+float dynamic_scale(const float* x, std::int64_t n) {
   float max_abs = 0.0f;
-  for (const auto v : x.span()) {
-    max_abs = std::max(max_abs, std::fabs(v));
+  for (std::int64_t i = 0; i < n; ++i) {
+    max_abs = std::max(max_abs, std::fabs(x[i]));
   }
-  q.scale = (max_abs > 0.0f) ? max_abs / 127.0f : 1.0f;
-  const float inv = 1.0f / q.scale;
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    const float scaled = std::nearbyint(x.data()[i] * inv);
-    q.values[static_cast<std::size_t>(i)] = static_cast<std::int8_t>(
-        std::clamp(scaled, -127.0f, 127.0f));
-  }
-  return q;
+  return (max_abs > 0.0f) ? max_abs / 127.0f : 1.0f;
 }
 
-QuantizedTensor quantize_with_scale(const Tensor& x, float scale) {
-  HPNN_CHECK(scale > 0.0f, "quantization scale must be positive");
+namespace {
+
+QuantizedTensor quantize_unchecked(const Tensor& x, float scale) {
   QuantizedTensor q;
   q.shape = x.shape();
   q.scale = scale;
   q.values.resize(static_cast<std::size_t>(x.numel()));
-  const float inv = 1.0f / scale;
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    const float scaled = std::nearbyint(x.data()[i] * inv);
-    q.values[static_cast<std::size_t>(i)] =
-        static_cast<std::int8_t>(std::clamp(scaled, -127.0f, 127.0f));
-  }
+  ops::backend().quantize_i8(x.data(), x.numel(), 1.0f / scale,
+                             q.values.data());
   return q;
+}
+
+}  // namespace
+
+QuantizedTensor quantize(const Tensor& x) {
+  return quantize_unchecked(x, dynamic_scale(x.data(), x.numel()));
+}
+
+QuantizedTensor quantize_with_scale(const Tensor& x, float scale) {
+  HPNN_CHECK(scale > 0.0f, "quantization scale must be positive");
+  return quantize_unchecked(x, scale);
 }
 
 Tensor dequantize(const QuantizedTensor& q) {

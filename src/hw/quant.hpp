@@ -2,6 +2,11 @@
 //
 // The Google TPU's MMU multiplies 8-bit operands; we use per-tensor
 // symmetric dynamic quantization: q = round(x / scale), scale = max|x|/127.
+//
+// Rounding is to nearest, ties to even; values beyond ±127 * scale saturate
+// to ±127 (infinities included), and NaN quantizes to 0. The element
+// kernel is the active compute backend's quantize_i8, bit-identical on
+// every tier.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +25,10 @@ struct QuantizedTensor {
     return static_cast<std::int64_t>(values.size());
   }
 };
+
+/// The dynamic per-tensor scale max|x|/127 over n values (NaN entries are
+/// ignored); 1 when every value is zero.
+float dynamic_scale(const float* x, std::int64_t n);
 
 /// Quantizes a float tensor to int8 with per-tensor symmetric scale.
 /// An all-zero tensor quantizes with scale 1.

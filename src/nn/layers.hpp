@@ -93,6 +93,8 @@ class MaxPool2d : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return name_; }
+  std::int64_t kernel() const { return kernel_; }
+  std::int64_t stride() const { return stride_; }
 
  private:
   std::string name_;
