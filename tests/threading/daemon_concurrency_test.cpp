@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -22,11 +21,9 @@ struct ThreadedHarness {
   ChaosModelBundle bundle = make_chaos_model(/*seed=*/33);
   std::unique_ptr<ServingSupervisor> supervisor;
   std::unique_ptr<ServeDaemon> daemon;
-  // A TrustedDevice is not safe for concurrent infer() calls (its weight
-  // and lock caches fill lazily and its traversal cursors are per device),
-  // so producers take turns on the reference through reference_classes().
+  // infer() is const and reentrant, so every producer classifies through
+  // this one reference device concurrently.
   std::unique_ptr<hw::TrustedDevice> reference;
-  std::mutex reference_mutex;
 
   explicit ThreadedHarness(DaemonConfig daemon_config) {
     SupervisorConfig config;
@@ -43,8 +40,7 @@ struct ThreadedHarness {
     reference->load_model(bundle.artifact);
   }
 
-  std::vector<std::int64_t> reference_classes(const Tensor& images) {
-    const std::lock_guard<std::mutex> lock(reference_mutex);
+  std::vector<std::int64_t> reference_classes(const Tensor& images) const {
     return reference->classify(images);
   }
 
