@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/rng.hpp"
+#include "tensor/backend.hpp"
 
 namespace hpnn::hw {
 namespace {
@@ -63,6 +67,31 @@ TEST(QuantTest, NegationCommutesWithQuantization) {
   for (std::size_t i = 0; i < qx.values.size(); ++i) {
     EXPECT_EQ(qx.values[i], -qnx.values[i]);
   }
+}
+
+TEST(QuantTest, NonFiniteValuesHaveDefinedCodes) {
+  // Request images are untrusted: NaN quantizes to 0 and infinities
+  // saturate, with the calibrated scale and the dynamic one (whose max|x|
+  // ignores NaN) alike, on every backend.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor x(Shape{5}, std::vector<float>{nan, inf, -inf, 0.5f, -1.0f});
+  const std::string entering = ops::backend().name();
+  for (const std::string& name : ops::backend_names()) {
+    if (!ops::find_backend(name)->supported()) {
+      continue;
+    }
+    ops::set_backend(name);
+    const QuantizedTensor fixed = quantize_with_scale(x, 0.01f);
+    EXPECT_EQ(fixed.values, (std::vector<std::int8_t>{0, 127, -127, 50, -100}))
+        << name;
+    const Tensor finite(Shape{3}, std::vector<float>{nan, 0.5f, -1.0f});
+    const QuantizedTensor dynamic = quantize(finite);
+    EXPECT_EQ(dynamic.scale, 1.0f / 127.0f) << name;
+    EXPECT_EQ(dynamic.values, (std::vector<std::int8_t>{0, 64, -127}))
+        << name;
+  }
+  ops::set_backend(entering);
 }
 
 TEST(QuantTest, MaxErrorHelperAgrees) {
