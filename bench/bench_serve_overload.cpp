@@ -41,7 +41,6 @@ int main() {
   scenario.config.verify = serve::VerifyMode::kDigest;
   scenario.daemon.batcher.max_batch_rows = 8;
   scenario.daemon.batcher.slo_p99_us = 20'000;
-  scenario.daemon.batcher.max_linger_us = 2'000;
   scenario.daemon.queue.capacity = 64;
   scenario.daemon.queue.max_queue_wait_us = 20'000;
   scenario.daemon.admission.high_watermark = 48;
@@ -72,7 +71,7 @@ int main() {
     scenario.quarantine_at_request = f >= 2.0 ? requests / 2 : -1;
     const serve::LoadReport report =
         serve::run_load_scenario(bundle, scenario);
-    std::printf("%7.0fx %9d %9d %6d %8llu %8llu %6d [%llu, %llu]\n", f,
+    std::printf("%7.1fx %9d %9d %6d %8llu %8llu %6d [%llu, %llu]\n", f,
                 report.accepted, report.completed, report.shed,
                 static_cast<unsigned long long>(report.p50_latency_us),
                 static_cast<unsigned long long>(report.p99_latency_us),

@@ -6,45 +6,59 @@
 
 namespace hpnn::cli {
 
+const std::string* Args::lookup(const std::string& key) const {
+  read.insert(key);
+  const auto it = options.find(key);
+  return it == options.end() ? nullptr : &it->second;
+}
+
 std::string Args::get(const std::string& key,
                       const std::string& fallback) const {
-  const auto it = options.find(key);
-  return it == options.end() ? fallback : it->second;
+  const std::string* value = lookup(key);
+  return value == nullptr ? fallback : *value;
 }
 
 std::int64_t Args::get_int(const std::string& key,
                            std::int64_t fallback) const {
-  const auto it = options.find(key);
-  if (it == options.end()) {
+  const std::string* value = lookup(key);
+  if (value == nullptr) {
     return fallback;
   }
   char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
-    throw UsageError("--" + key + " expects an integer, got '" + it->second + "'");
+  const long long v = std::strtoll(value->c_str(), &end, 10);
+  if (end == value->c_str() || *end != '\0') {
+    throw UsageError("--" + key + " expects an integer, got '" + *value + "'");
   }
   return static_cast<std::int64_t>(v);
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
-  const auto it = options.find(key);
-  if (it == options.end()) {
+  const std::string* value = lookup(key);
+  if (value == nullptr) {
     return fallback;
   }
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    throw UsageError("--" + key + " expects a number, got '" + it->second + "'");
+  const double v = std::strtod(value->c_str(), &end);
+  if (end == value->c_str() || *end != '\0') {
+    throw UsageError("--" + key + " expects a number, got '" + *value + "'");
   }
   return v;
 }
 
 std::string Args::require(const std::string& key) const {
-  const auto it = options.find(key);
-  if (it == options.end()) {
+  const std::string* value = lookup(key);
+  if (value == nullptr) {
     throw UsageError("missing required option --" + key);
   }
-  return it->second;
+  return *value;
+}
+
+void Args::reject_unread() const {
+  for (const auto& [key, value] : options) {
+    if (read.count(key) == 0) {
+      throw UsageError("unknown option --" + key + " for '" + command + "'");
+    }
+  }
 }
 
 Args parse_args(const std::vector<std::string>& tokens) {

@@ -679,8 +679,6 @@ serve::LoadScenario load_scenario_from_args(const Args& args) {
   scenario.daemon.batcher.max_batch_rows = args.get_int("max-batch", 8);
   scenario.daemon.batcher.slo_p99_us =
       static_cast<std::uint64_t>(args.get_int("slo-us", 20'000));
-  scenario.daemon.batcher.max_linger_us =
-      static_cast<std::uint64_t>(args.get_int("max-linger-us", 2'000));
   scenario.daemon.queue.capacity =
       static_cast<std::size_t>(args.get_int("queue-capacity", 64));
   scenario.daemon.queue.max_queue_wait_us =
@@ -726,6 +724,7 @@ int cmd_serve_load(const Args& args, std::ostream& out) {
       static_cast<std::uint64_t>(args.get_int("model-seed", 33)), 16, 0.6,
       /*with_logit_digest=*/true);
   serve::LoadScenario scenario = load_scenario_from_args(args);
+  const bool json = args.has("json");
 
   // Sweep offered load, default 0.5x / 1x / 2x of sustainable.
   std::vector<double> sweep;
@@ -741,6 +740,7 @@ int cmd_serve_load(const Args& args, std::ostream& out) {
     const double cap = serve::sustainable_qps(scenario);
     sweep = {0.5 * cap, 1.0 * cap, 2.0 * cap};
   }
+  args.reject_unread();
 
   int wrong = 0;
   for (const double qps : sweep) {
@@ -749,7 +749,7 @@ int cmd_serve_load(const Args& args, std::ostream& out) {
         serve::run_load_scenario(bundle, scenario);
     out << "--- offered " << qps << " qps ---\n";
     print_load_report(out, scenario, report);
-    if (args.has("json")) {
+    if (json) {
       serve::write_overload_json(out, scenario, report);
       out << "\n";
     }
@@ -765,10 +765,22 @@ int cmd_serve_load(const Args& args, std::ostream& out) {
 
 int cmd_serve(const Args& args, std::ostream& out) {
   const bool sim = args.get_int("sim", 1) != 0;
+  const auto workers = static_cast<std::size_t>(args.get_int("workers", 2));
+  std::ifstream script;
+  std::istream* in = &std::cin;
+  if (args.has("script")) {
+    const std::string path = args.require("script");
+    script.open(path);
+    if (!script) {
+      throw Error("cannot open script file '" + path + "'");
+    }
+    in = &script;
+  }
   const auto bundle = serve::make_chaos_model(
       static_cast<std::uint64_t>(args.get_int("model-seed", 33)), 16, 0.6,
       /*with_logit_digest=*/true);
   serve::LoadScenario defaults = load_scenario_from_args(args);
+  args.reject_unread();
 
   core::SimulatedClock sim_clock(0);
   serve::SupervisorConfig config = defaults.config;
@@ -782,7 +794,7 @@ int cmd_serve(const Args& args, std::ostream& out) {
   if (sim) {
     dconfig.workers = 0;  // pump mode: the protocol loop drives the clock
   } else {
-    dconfig.workers = static_cast<std::size_t>(args.get_int("workers", 2));
+    dconfig.workers = workers;
     dconfig.sim_service_base_us = 0;  // real inference is the service time
     dconfig.sim_service_per_row_us = 0;
   }
@@ -790,16 +802,6 @@ int cmd_serve(const Args& args, std::ostream& out) {
                             dconfig);
   daemon.start();
 
-  std::ifstream script;
-  std::istream* in = &std::cin;
-  if (args.has("script")) {
-    const std::string path = args.require("script");
-    script.open(path);
-    if (!script) {
-      throw Error("cannot open script file '" + path + "'");
-    }
-    in = &script;
-  }
   out << "READY model=" << bundle.model_id << " replicas="
       << config.replicas << " mode=" << (sim ? "sim" : "real")
       << " workers=" << dconfig.workers << "\n";
@@ -835,30 +837,9 @@ int cmd_serve(const Args& args, std::ostream& out) {
       out << serve::format_stats(daemon.stats()) << "\n";
     } else if (request.kind == serve::ProtoRequest::Kind::kReload) {
       try {
-        for (const auto& [key, value] : request.options) {
-          if (key == "slo-us") {
-            dconfig.batcher.slo_p99_us = std::stoull(value);
-          } else if (key == "max-batch") {
-            dconfig.batcher.max_batch_rows = std::stoll(value);
-          } else if (key == "max-linger-us") {
-            dconfig.batcher.max_linger_us = std::stoull(value);
-          } else if (key == "queue-capacity") {
-            dconfig.queue.capacity = std::stoull(value);
-          } else if (key == "high-watermark") {
-            dconfig.admission.high_watermark = std::stoull(value);
-          } else if (key == "low-watermark") {
-            dconfig.admission.low_watermark = std::stoull(value);
-          } else if (key == "tenant-qps") {
-            dconfig.admission.per_tenant.tokens_per_sec = std::stod(value);
-          } else if (key == "tenant-burst") {
-            dconfig.admission.per_tenant.burst = std::stod(value);
-          } else if (key == "session-capacity") {
-            dconfig.sessions.capacity = std::stoull(value);
-          } else {
-            throw Error("unknown reload option '" + key + "'");
-          }
-        }
-        daemon.reload(dconfig);
+        const auto reloaded = serve::apply_reload(request, dconfig);
+        daemon.reload(reloaded);
+        dconfig = reloaded;
         out << "OK reload\n";
       } catch (const std::exception& e) {
         out << serve::format_error(0, "reload", 0, e.what()) << "\n";
@@ -880,6 +861,7 @@ int cmd_serve(const Args& args, std::ostream& out) {
 }
 
 int cmd_serve_sim(const Args& args, std::ostream& out) {
+  const bool json = args.has("json");
   if (args.has("offered-qps") || args.has("burst")) {
     // Overload mode: open-loop offered load against the serving daemon
     // instead of the serial chaos campaign.
@@ -887,10 +869,11 @@ int cmd_serve_sim(const Args& args, std::ostream& out) {
         static_cast<std::uint64_t>(args.get_int("model-seed", 33)), 16, 0.6,
         /*with_logit_digest=*/true);
     const serve::LoadScenario scenario = load_scenario_from_args(args);
+    args.reject_unread();
     const serve::LoadReport report =
         serve::run_load_scenario(bundle, scenario);
     print_load_report(out, scenario, report);
-    if (args.has("json")) {
+    if (json) {
       serve::write_overload_json(out, scenario, report);
       out << "\n";
     }
@@ -930,6 +913,7 @@ int cmd_serve_sim(const Args& args, std::ostream& out) {
 
   const auto bundle = serve::make_chaos_model(
       static_cast<std::uint64_t>(args.get_int("model-seed", 33)));
+  args.reject_unread();
   out << "serve-sim: " << scenario.config.replicas << " replicas, "
       << scenario.requests << " requests, key SEU rate "
       << scenario.key_seu_rate << ", "
@@ -948,7 +932,7 @@ int cmd_serve_sim(const Args& args, std::ostream& out) {
       << report.pool.probes << " probes\n";
   out << "attempts: " << report.attempts << " total (" << report.retries
       << " retries), " << report.degraded << " degraded successes\n";
-  if (args.has("json")) {
+  if (json) {
     serve::write_chaos_json(out, scenario, report);
     out << "\n";
   }
@@ -1118,8 +1102,10 @@ int run_command(const std::vector<std::string>& tokens, std::ostream& out) {
       out << usage();
       return args.command.empty() ? 2 : 0;
     }
+    // Read before dispatch, so commands that reject unread options see it.
+    const bool write_metrics = args.has("metrics-out");
     const int rc = dispatch(args, out);
-    if (args.has("metrics-out")) {
+    if (write_metrics) {
       // Global option: snapshot whatever the command recorded, even on a
       // nonzero exit — a failed run's partial counters are still useful.
       const std::string path = args.require("metrics-out");

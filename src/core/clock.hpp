@@ -38,8 +38,8 @@ class SteadyClock final : public Clock {
 
 /// Deterministic virtual time: now_us() is a counter, sleep_us() advances
 /// it atomically without blocking. Two runs of the same seeded scenario see
-/// the exact same timestamps, so breaker cooldowns, batch linger windows
-/// and deadlines fire identically.
+/// the exact same timestamps, so breaker cooldowns, simulated batch service
+/// times and deadlines fire identically.
 class SimulatedClock final : public Clock {
  public:
   explicit SimulatedClock(std::uint64_t start_us = 0) : now_(start_us) {}

@@ -14,8 +14,6 @@
 
 #include <cstdint>
 
-#include "serve/clock.hpp"
-
 namespace hpnn::serve {
 
 enum class BreakerState : int {

@@ -61,7 +61,7 @@ ChaosReport run_chaos_scenario(const ChaosModelBundle& bundle,
     metrics::MetricsRegistry::instance().reset();
   }
 
-  SimulatedClock clock(0);
+  core::SimulatedClock clock(0);
   // Injectors outlive the devices they are attached to; the hook may run
   // concurrently from maintenance workers, so appends are serialized.
   std::vector<std::unique_ptr<hw::FaultInjector>> injectors;

@@ -1,69 +1,27 @@
 #include "serve/daemon/batcher.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "core/error.hpp"
 
 namespace hpnn::serve {
 
 AdaptiveBatcher::AdaptiveBatcher(BatcherConfig config) : config_(config) {
   HPNN_CHECK(config_.max_batch_rows >= 1, "batcher needs max_batch_rows >= 1");
-  HPNN_CHECK(config_.min_linger_us <= config_.max_linger_us,
-             "min_linger_us must not exceed max_linger_us");
-  HPNN_CHECK(config_.service_ewma_alpha > 0.0 &&
-                 config_.service_ewma_alpha <= 1.0,
-             "service_ewma_alpha must be in (0, 1]");
 }
 
-std::uint64_t AdaptiveBatcher::linger_locked() const {
-  if (!service_seeded_) {
-    return config_.max_linger_us;
-  }
-  const auto service = static_cast<std::uint64_t>(
-      std::llround(std::max(service_ewma_us_, 0.0)));
-  const std::uint64_t budget =
-      config_.slo_p99_us > service ? config_.slo_p99_us - service : 0;
-  return std::clamp(budget, config_.min_linger_us, config_.max_linger_us);
-}
-
-std::uint64_t AdaptiveBatcher::linger_us() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return linger_locked();
-}
-
-bool AdaptiveBatcher::batch_ready(const RequestQueue& queue,
-                                  std::uint64_t now_us) const {
-  if (queue.depth() == 0) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (queue.rows() >= config_.max_batch_rows) {
-    return true;
-  }
-  if (queue.closed()) {
-    return true;  // drain: ship partial batches immediately
-  }
-  const std::uint64_t oldest = queue.oldest_enqueued_at_us();
-  return now_us >= oldest && now_us - oldest >= linger_locked();
+bool AdaptiveBatcher::batch_ready(const RequestQueue& queue) const {
+  return !queue.empty();
 }
 
 std::vector<std::shared_ptr<PendingRequest>> AdaptiveBatcher::collect(
     RequestQueue& queue, std::uint64_t now_us) {
-  std::int64_t max_rows = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    max_rows = config_.max_batch_rows;
-  }
+  const std::int64_t max_rows = config().max_batch_rows;
   std::vector<std::shared_ptr<PendingRequest>> batch;
-  std::int64_t rows = 0;
   // First pop is unconstrained so an oversized request cannot starve.
   auto first = queue.pop(now_us);
   if (first == nullptr) {
     return batch;
   }
-  rows = first->rows();
+  std::int64_t rows = first->rows();
   batch.push_back(std::move(first));
   while (rows < max_rows) {
     auto next = queue.pop(now_us, max_rows - rows);
@@ -74,34 +32,6 @@ std::vector<std::shared_ptr<PendingRequest>> AdaptiveBatcher::collect(
     batch.push_back(std::move(next));
   }
   return batch;
-}
-
-void AdaptiveBatcher::observe_service(std::uint64_t service_us) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto sample = static_cast<double>(service_us);
-  if (!service_seeded_) {
-    service_ewma_us_ = sample;
-    service_seeded_ = true;
-    return;
-  }
-  service_ewma_us_ += config_.service_ewma_alpha * (sample - service_ewma_us_);
-}
-
-std::uint64_t AdaptiveBatcher::service_ewma_us() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<std::uint64_t>(
-      std::llround(std::max(service_ewma_us_, 0.0)));
-}
-
-std::uint64_t AdaptiveBatcher::next_due_us(const RequestQueue& queue,
-                                           std::uint64_t now_us) const {
-  const std::uint64_t oldest = queue.oldest_enqueued_at_us();
-  if (oldest == std::numeric_limits<std::uint64_t>::max()) {
-    return oldest;  // empty queue: nothing is ever due
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t due = oldest + linger_locked();
-  return std::max(due, now_us);
 }
 
 void AdaptiveBatcher::reload(const BatcherConfig& config) {

@@ -1,18 +1,12 @@
-// Adaptive micro-batching: coalesce queued requests into MMU-sized batches.
+// Work-conserving micro-batching: coalesce queued requests into MMU-sized
+// batches.
 //
-// The int8 datapath amortizes its per-dispatch cost over batch rows, so the
-// daemon wants full batches — but a request must not linger past its
-// latency SLO waiting for co-travellers. The batcher closes a batch when it
-// is full *or* when the oldest queued request has lingered for the adaptive
-// window:
-//
-//   linger = clamp(slo_p99 - service_ewma, min_linger, max_linger)
-//
-// As the observed batch service time (EWMA) grows toward the SLO, the
-// linger window shrinks toward min_linger, trading batch efficiency for
-// latency headroom; when the device is fast, requests may wait longer and
-// batches fill. All timing is virtual-clock driven, so pump-mode runs are
-// deterministic.
+// A batch is cut whenever a worker is free and the queue is not empty: the
+// worker takes up to max_batch_rows rows in tenant-fair order and serves
+// them at once. No timer holds a request back waiting for co-travellers, so
+// an idle daemon serves a lone request at the instant it arrives. Requests
+// coalesce only while every worker is busy, so batches still fill under
+// backlog — exactly when amortizing a dispatch over more rows pays.
 #pragma once
 
 #include <cstdint>
@@ -27,27 +21,18 @@ namespace hpnn::serve {
 struct BatcherConfig {
   /// Maximum sample rows per coalesced batch (the MMU-friendly size).
   std::int64_t max_batch_rows = 8;
-  /// Target p99 enqueue-to-completion latency the linger window defends.
+  /// p99 enqueue-to-completion latency target. It does not time batch
+  /// cuts; the load report and the overload verdict compare against it.
   std::uint64_t slo_p99_us = 50'000;
-  /// Linger window clamp.
-  std::uint64_t min_linger_us = 0;
-  std::uint64_t max_linger_us = 5'000;
-  /// EWMA weight of the newest batch service time observation.
-  double service_ewma_alpha = 0.2;
 };
 
 class AdaptiveBatcher {
  public:
   explicit AdaptiveBatcher(BatcherConfig config);
 
-  /// Current adaptive linger window (max_linger until service times are
-  /// observed).
-  std::uint64_t linger_us() const;
-
-  /// True when a batch should be cut now: the queue holds a full batch of
-  /// rows, the oldest request has lingered past the window, or the queue is
-  /// closed (drain) and non-empty.
-  bool batch_ready(const RequestQueue& queue, std::uint64_t now_us) const;
+  /// True when a free worker should cut a batch now: exactly when the
+  /// queue is non-empty.
+  bool batch_ready(const RequestQueue& queue) const;
 
   /// Pops up to max_batch_rows rows in tenant-fair order. The first request
   /// is taken unconditionally (a single oversized request still ships as
@@ -55,26 +40,13 @@ class AdaptiveBatcher {
   std::vector<std::shared_ptr<PendingRequest>> collect(RequestQueue& queue,
                                                        std::uint64_t now_us);
 
-  /// Feeds one coalesced-batch service time into the EWMA.
-  void observe_service(std::uint64_t service_us);
-  std::uint64_t service_ewma_us() const;
-
-  /// Earliest time at which the linger window would force a batch closed;
-  /// UINT64_MAX when the queue is empty. Drives the pump/event loop.
-  std::uint64_t next_due_us(const RequestQueue& queue,
-                            std::uint64_t now_us) const;
-
-  /// Swaps the policy, keeping the learned service EWMA (config reload).
+  /// Swaps the policy (config reload); validates like the constructor.
   void reload(const BatcherConfig& config);
   BatcherConfig config() const;
 
  private:
-  std::uint64_t linger_locked() const;
-
   mutable std::mutex mutex_;
   BatcherConfig config_;
-  double service_ewma_us_ = 0.0;
-  bool service_seeded_ = false;
 };
 
 }  // namespace hpnn::serve

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <set>
 #include <utility>
 
@@ -63,16 +62,9 @@ std::shared_ptr<PendingRequest> ServeDaemon::submit_async(
 Reply ServeDaemon::submit(const std::string& tenant, Tensor images) {
   auto pending = submit_async(tenant, std::move(images));
   if (workers_.empty()) {
+    // Every pump ships a batch, so ours resolves once those ahead have.
     while (!pending->done()) {
-      if (pump() > 0) {
-        continue;
-      }
-      const std::uint64_t now = clock_->now_us();
-      const std::uint64_t due = batcher_.next_due_us(queue_, now);
-      if (due == std::numeric_limits<std::uint64_t>::max()) {
-        break;  // queue drained without resolving us (cannot happen solo)
-      }
-      clock_->sleep_us(due > now ? due - now : 1);
+      (void)pump();
     }
   } else {
     pending->wait();
@@ -103,7 +95,7 @@ std::size_t ServeDaemon::pump() {
   {
     std::lock_guard<std::mutex> lock(schedule_mutex_);
     expired = queue_.expire(now);
-    if (batcher_.batch_ready(queue_, now)) {
+    if (batcher_.batch_ready(queue_)) {
       batch = batcher_.collect(queue_, now);
     }
   }
@@ -115,15 +107,7 @@ std::size_t ServeDaemon::pump() {
 
 std::size_t ServeDaemon::pump_until_idle() {
   std::size_t resolved = 0;
-  while (queue_.depth() > 0) {
-    const std::uint64_t now = clock_->now_us();
-    if (!batcher_.batch_ready(queue_, now)) {
-      const std::uint64_t due = batcher_.next_due_us(queue_, now);
-      if (due == std::numeric_limits<std::uint64_t>::max()) {
-        break;  // raced to empty
-      }
-      clock_->sleep_us(due > now ? due - now : 1);
-    }
+  while (!queue_.empty()) {
     resolved += pump();
   }
   return resolved;
@@ -250,7 +234,6 @@ std::size_t ServeDaemon::run_batch(
 
   const std::uint64_t done_at = clock_->now_us();
   const std::uint64_t service_us = done_at - dequeued_at;
-  batcher_.observe_service(service_us);
   admission_.observe_drain(
       std::max<std::uint64_t>(service_us / batch.size(), 1));
   batches_.fetch_add(1, std::memory_order_relaxed);
@@ -309,7 +292,7 @@ void ServeDaemon::worker_loop() {
     {
       std::lock_guard<std::mutex> lock(schedule_mutex_);
       queue_.expire(now);
-      if (batcher_.batch_ready(queue_, now)) {
+      if (batcher_.batch_ready(queue_)) {
         batch = batcher_.collect(queue_, now);
       }
     }
@@ -317,17 +300,10 @@ void ServeDaemon::worker_loop() {
       run_batch(std::move(batch));
       continue;
     }
-    if (queue_.closed() && queue_.depth() == 0) {
+    if (queue_.closed() && queue_.empty()) {
       break;  // graceful drain complete
     }
-    if (queue_.depth() == 0) {
-      queue_.wait_nonempty(1'000);
-      continue;
-    }
-    // Requests are lingering for co-travellers; sleep toward the window.
-    const std::uint64_t due = batcher_.next_due_us(queue_, now);
-    const std::uint64_t gap = due > now ? due - now : 1;
-    clock_->sleep_us(std::min<std::uint64_t>(gap, 1'000));
+    queue_.wait_nonempty(1'000);
   }
 }
 

@@ -3,15 +3,18 @@
 //
 //   submit -> admission gate (token bucket + watermarks, sheds with
 //             retry_after) -> session ticket -> bounded fair queue
-//          -> adaptive batcher cuts an MMU-sized coalesced batch
+//          -> a free worker cuts a batch of whatever is queued, up to
+//             MMU size (work-conserving: no timer holds requests back)
 //          -> supervisor serves it (retries / witness / quarantine)
 //          -> per-request replies; sessions of tenants whose batch
 //             triggered an integrity quarantine are revoked.
 //
 // Two execution modes behind one API:
-//   - pump mode (workers == 0): the caller drives pump()/pump_until_idle()
-//     on a SimulatedClock — single-threaded, bit-deterministic; what every
-//     overload test and the load generator use.
+//   - pump mode (workers == 0): the caller is the one worker and drives
+//     pump()/pump_until_idle() on a SimulatedClock — single-threaded,
+//     bit-deterministic; what every overload test and the load generator
+//     use. Requests queued while the caller serves a batch coalesce into
+//     the next one.
 //   - threaded mode (workers >= 1): start() spawns workers that block on
 //     the queue; what `hpnn serve` runs on a SteadyClock.
 //
@@ -95,12 +98,11 @@ class ServeDaemon {
   void start();
 
   /// Pump mode: one scheduler step at the clock's current time — expire
-  /// stale requests and, if a batch is due, cut and serve it. Returns the
-  /// number of requests resolved (completed or failed) this step.
+  /// stale requests and, if any are queued, cut and serve one batch.
+  /// Returns the number of requests resolved (completed or failed).
   std::size_t pump();
 
-  /// Pump mode: advances virtual time through linger windows until the
-  /// queue is empty. Returns requests resolved.
+  /// Pump mode: pumps until the queue is empty. Returns requests resolved.
   std::size_t pump_until_idle();
 
   /// Graceful drain: closes the queue (new submits throw), then finishes

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -52,7 +51,7 @@ LoadReport run_load_scenario(const ChaosModelBundle& bundle,
     metrics::MetricsRegistry::instance().reset();
   }
 
-  SimulatedClock clock(0);
+  core::SimulatedClock clock(0);
   std::vector<std::unique_ptr<hw::FaultInjector>> injectors;
   std::mutex injectors_mutex;
 
@@ -96,18 +95,15 @@ LoadReport run_load_scenario(const ChaosModelBundle& bundle,
   for (int i = 0; i < scenario.requests; ++i) {
     const auto arrival = static_cast<std::uint64_t>(
         std::llround(static_cast<double>(i / scenario.burst) * burst_gap_us));
-    // Serve everything due before this arrival, then jump to it. The batch
-    // service model advances the clock inside pump(), so arrivals in the
-    // past (clock already beyond them) are submitted immediately.
+    // The pump caller is the daemon's one worker: until this arrival it
+    // serves what is queued, then idles. pump() advances the clock by the
+    // service model, so arrivals that land mid-batch (clock already beyond
+    // them) are submitted at once and coalesce into the next batch.
     while (clock.now_us() < arrival) {
-      const std::uint64_t now = clock.now_us();
-      const std::uint64_t due =
-          daemon.batcher().next_due_us(daemon.queue(), now);
-      if (due > arrival) {
-        clock.advance(arrival - now);
+      if (daemon.queue().empty()) {
+        clock.advance(arrival - clock.now_us());
         break;
       }
-      clock.advance(due - now);
       daemon.pump();
     }
 

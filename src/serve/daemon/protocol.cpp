@@ -21,6 +21,20 @@ std::uint64_t parse_u64(const std::string& token, const char* field) {
   try {
     std::size_t pos = 0;
     const std::uint64_t value = std::stoull(token, &pos);
+    // stoull wraps a leading '-' to a huge value instead of failing.
+    if (pos != token.size() || token.find('-') != std::string::npos) {
+      throw Error("");
+    }
+    return value;
+  } catch (const std::exception&) {
+    throw Error(std::string("malformed ") + field + ": '" + token + "'");
+  }
+}
+
+double parse_double(const std::string& token, const char* field) {
+  try {
+    std::size_t pos = 0;
+    const double value = std::stod(token, &pos);
     if (pos != token.size()) {
       throw Error("");
     }
@@ -79,6 +93,33 @@ ProtoRequest parse_request(const std::string& line) {
     return request;
   }
   throw Error("unknown protocol verb '" + verb + "'");
+}
+
+DaemonConfig apply_reload(const ProtoRequest& request, DaemonConfig config) {
+  for (const auto& [key, value] : request.options) {
+    const char* field = key.c_str();
+    if (key == "slo-us") {
+      config.batcher.slo_p99_us = parse_u64(value, field);
+    } else if (key == "max-batch") {
+      config.batcher.max_batch_rows =
+          static_cast<std::int64_t>(parse_u64(value, field));
+    } else if (key == "queue-capacity") {
+      config.queue.capacity = parse_u64(value, field);
+    } else if (key == "high-watermark") {
+      config.admission.high_watermark = parse_u64(value, field);
+    } else if (key == "low-watermark") {
+      config.admission.low_watermark = parse_u64(value, field);
+    } else if (key == "tenant-qps") {
+      config.admission.per_tenant.tokens_per_sec = parse_double(value, field);
+    } else if (key == "tenant-burst") {
+      config.admission.per_tenant.burst = parse_double(value, field);
+    } else if (key == "session-capacity") {
+      config.sessions.capacity = parse_u64(value, field);
+    } else {
+      throw Error("unknown reload option '" + key + "'");
+    }
+  }
+  return config;
 }
 
 std::string format_reply(std::uint64_t id, const Reply& reply) {

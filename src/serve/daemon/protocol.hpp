@@ -41,6 +41,12 @@ struct ProtoRequest {
 /// '#' comments before parsing; empty input throws.
 ProtoRequest parse_request(const std::string& line);
 
+/// Returns `config` with a RELOAD line's key=value options applied:
+/// slo-us, max-batch, queue-capacity, high-watermark, low-watermark,
+/// tenant-qps, tenant-burst, session-capacity. Throws Error on an unknown
+/// key ("unknown reload option") or a malformed value.
+DaemonConfig apply_reload(const ProtoRequest& request, DaemonConfig config);
+
 /// OK line for a completed inference.
 std::string format_reply(std::uint64_t id, const Reply& reply);
 

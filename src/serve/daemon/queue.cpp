@@ -1,7 +1,6 @@
 #include "serve/daemon/queue.hpp"
 
 #include <chrono>
-#include <limits>
 #include <utility>
 
 #include "core/error.hpp"
@@ -63,7 +62,6 @@ void RequestQueue::push(std::shared_ptr<PendingRequest> request) {
       HPNN_METRIC_COUNT("serve.daemon.queue.full", 1);
       throw QueueFullError("request queue full", depth_, config_.capacity);
     }
-    rows_ += request->rows();
     ++depth_;
     lanes_[request->tenant()].push_back(std::move(request));
     HPNN_METRIC_GAUGE("serve.daemon.queue.depth", depth_);
@@ -71,9 +69,8 @@ void RequestQueue::push(std::shared_ptr<PendingRequest> request) {
   cv_.notify_one();
 }
 
-void RequestQueue::remove_accounting_locked(const PendingRequest& request) {
+void RequestQueue::remove_accounting_locked() {
   --depth_;
-  rows_ -= request.rows();
   HPNN_METRIC_GAUGE("serve.daemon.queue.depth", depth_);
 }
 
@@ -90,7 +87,7 @@ std::size_t RequestQueue::expire_locked(std::uint64_t now_us) {
                config_.max_queue_wait_us) {
       auto request = std::move(lane.front());
       lane.pop_front();
-      remove_accounting_locked(*request);
+      remove_accounting_locked();
       ++expired;
       request->fail(std::make_exception_ptr(TimeoutError(
           "queue-wait deadline exceeded for tenant " + request->tenant(),
@@ -130,7 +127,7 @@ std::shared_ptr<PendingRequest> RequestQueue::pop_locked(
       if (lane.empty()) {
         lanes_.erase(it);
       }
-      remove_accounting_locked(*request);
+      remove_accounting_locked();
       return request;
     }
     ++it;
@@ -150,22 +147,6 @@ std::shared_ptr<PendingRequest> RequestQueue::pop(std::uint64_t now_us,
 std::size_t RequestQueue::depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return depth_;
-}
-
-std::int64_t RequestQueue::rows() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return rows_;
-}
-
-std::uint64_t RequestQueue::oldest_enqueued_at_us() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-  for (const auto& [tenant, lane] : lanes_) {
-    if (!lane.empty()) {
-      oldest = std::min(oldest, lane.front()->enqueued_at_us());
-    }
-  }
-  return oldest;
 }
 
 void RequestQueue::close() {
@@ -192,7 +173,6 @@ std::size_t RequestQueue::fail_all(const std::string& reason) {
     }
     lanes_.clear();
     depth_ = 0;
-    rows_ = 0;
     HPNN_METRIC_GAUGE("serve.daemon.queue.depth", 0);
   }
   for (auto& request : victims) {

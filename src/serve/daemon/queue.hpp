@@ -122,11 +122,7 @@ class RequestQueue {
   std::size_t expire(std::uint64_t now_us);
 
   std::size_t depth() const;
-  /// Total queued sample rows (sum of images.dim(0)).
-  std::int64_t rows() const;
   bool empty() const { return depth() == 0; }
-  /// Enqueue time of the oldest queued request; UINT64_MAX when empty.
-  std::uint64_t oldest_enqueued_at_us() const;
 
   /// Closes the front door: subsequent pushes throw, pops keep draining.
   void close();
@@ -148,7 +144,7 @@ class RequestQueue {
   std::shared_ptr<PendingRequest> pop_locked(std::uint64_t now_us,
                                              std::int64_t max_rows);
   std::size_t expire_locked(std::uint64_t now_us);
-  void remove_accounting_locked(const PendingRequest& request);
+  void remove_accounting_locked();
 
   QueueConfig config_;
   core::Clock& clock_;
@@ -159,7 +155,6 @@ class RequestQueue {
   /// Tenant served last; the rotation resumes strictly after it.
   std::string cursor_;
   std::size_t depth_ = 0;
-  std::int64_t rows_ = 0;
   bool closed_ = false;
   std::uint64_t expired_total_ = 0;
 };

@@ -28,11 +28,11 @@
 #include <string>
 #include <vector>
 
+#include "core/clock.hpp"
 #include "hpnn/attestation.hpp"
 #include "hpnn/model_io.hpp"
 #include "hw/device.hpp"
 #include "serve/breaker.hpp"
-#include "serve/clock.hpp"
 
 namespace hpnn::metrics {
 class Gauge;

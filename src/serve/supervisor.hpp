@@ -48,7 +48,7 @@ struct SupervisorConfig {
   /// timeline for a serial request sequence).
   std::uint64_t backoff_seed = 0x5e4e1ULL;
   /// Time source; null selects the process SteadyClock.
-  Clock* clock = nullptr;
+  core::Clock* clock = nullptr;
   /// Runs on every (re-)provisioned device (see ProvisionHook).
   ProvisionHook provision;
 };
@@ -96,7 +96,7 @@ class ServingSupervisor {
   DevicePool& pool() { return pool_; }
   const DevicePool& pool() const { return pool_; }
   const SupervisorConfig& config() const { return config_; }
-  Clock& clock() { return *clock_; }
+  core::Clock& clock() { return *clock_; }
 
  private:
   /// Outcome of one attempt: served logits or a cause string.

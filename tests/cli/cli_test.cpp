@@ -476,5 +476,34 @@ TEST(CliTest, ServeSimRejectsBadPolicyNames) {
   EXPECT_NE(out.find("unknown verify mode"), std::string::npos);
 }
 
+TEST(CliTest, ServeCommandsRejectOptionsTheyDoNotRead) {
+  std::string out;
+  EXPECT_EQ(run({"serve-sim", "--requests", "4", "--batch", "1",
+                 "--no-such-flag", "7"},
+                out),
+            2);
+  EXPECT_NE(out.find("--no-such-flag"), std::string::npos) << out;
+
+  // The retired linger window fails closed in every serving command.
+  EXPECT_EQ(run({"serve-sim", "--offered-qps", "1000", "--requests", "4",
+                 "--max-linger-us", "2000"},
+                out),
+            2);
+  EXPECT_NE(out.find("--max-linger-us"), std::string::npos) << out;
+  EXPECT_EQ(run({"serve-load", "--requests", "4", "--max-linger-us", "2000"},
+                out),
+            2);
+  EXPECT_NE(out.find("--max-linger-us"), std::string::npos) << out;
+  EXPECT_EQ(run({"serve", "--max-linger-us", "2000"}, out), 2);
+  EXPECT_NE(out.find("--max-linger-us"), std::string::npos) << out;
+
+  // Global options stay accepted alongside a command's own.
+  EXPECT_EQ(run({"serve-sim", "--requests", "2", "--batch", "1",
+                 "--replicas", "2", "--model-seed", "21", "--threads", "1"},
+                out),
+            0)
+      << out;
+}
+
 }  // namespace
 }  // namespace hpnn::cli

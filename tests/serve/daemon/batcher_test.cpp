@@ -1,11 +1,10 @@
-// AdaptiveBatcher: the linger window's SLO feedback loop, batch-cut
-// triggers, fair collection under the row budget, and reload semantics.
+// AdaptiveBatcher: the work-conserving cut trigger, fair collection under
+// the row budget, and reload semantics.
 #include "serve/daemon/batcher.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 
 #include "core/clock.hpp"
@@ -27,56 +26,29 @@ BatcherConfig config_8x() {
   BatcherConfig config;
   config.max_batch_rows = 8;
   config.slo_p99_us = 10'000;
-  config.min_linger_us = 500;
-  config.max_linger_us = 4'000;
   return config;
 }
 
-TEST(BatcherTest, LingerAdaptsFromMaxTowardMinAsServiceTimeGrows) {
-  AdaptiveBatcher batcher(config_8x());
-
-  // Unseeded: be patient, wait the whole window for co-travellers.
-  EXPECT_EQ(batcher.linger_us(), 4'000u);
-
-  // Fast device (1ms batches): slo - ewma = 9ms, clamped to max_linger.
-  batcher.observe_service(1'000);
-  EXPECT_EQ(batcher.service_ewma_us(), 1'000u);
-  EXPECT_EQ(batcher.linger_us(), 4'000u);
-
-  // Service time eats the SLO budget: linger shrinks (slo - ewma), then
-  // bottoms out at min_linger when the EWMA crosses the SLO.
-  batcher.observe_service(9'000);  // ewma -> 1000 + 0.2*8000 = 2600
-  EXPECT_EQ(batcher.service_ewma_us(), 2'600u);
-  EXPECT_EQ(batcher.linger_us(), 4'000u);  // 10000-2600 still above the clamp
-  for (int i = 0; i < 20; ++i) {
-    batcher.observe_service(12'000);
-  }
-  EXPECT_EQ(batcher.linger_us(), 500u);
-}
-
-TEST(BatcherTest, BatchReadyOnFullRowsLingerExpiryOrClosedQueue) {
+TEST(BatcherTest, BatchReadyExactlyWhenTheQueueIsNonEmpty) {
   core::SimulatedClock clock{0};
   RequestQueue queue(QueueConfig{}, clock);
   AdaptiveBatcher batcher(config_8x());
 
-  EXPECT_FALSE(batcher.batch_ready(queue, 0));  // empty
+  EXPECT_FALSE(batcher.batch_ready(queue));
 
-  queue.push(request("a", 1, /*enqueued_at_us=*/0, /*rows=*/2));
-  EXPECT_FALSE(batcher.batch_ready(queue, 100));  // lingering for more
+  // One row of eight is enough: no window holds it back for co-travellers.
+  queue.push(request("a", 1, /*enqueued_at_us=*/0, /*rows=*/1));
+  EXPECT_TRUE(batcher.batch_ready(queue));
 
-  // Oldest request has waited out the (unseeded = max) linger window.
-  EXPECT_EQ(batcher.next_due_us(queue, 100), 4'000u);
-  EXPECT_TRUE(batcher.batch_ready(queue, 4'000));
+  (void)batcher.collect(queue, 0);
+  EXPECT_FALSE(batcher.batch_ready(queue));
 
-  // A full batch of rows is cut immediately, no lingering.
-  queue.push(request("b", 2, 100, /*rows=*/6));
-  EXPECT_TRUE(batcher.batch_ready(queue, 200));
-
-  // Drain: a closed queue ships partial batches at once.
-  (void)batcher.collect(queue, 200);
-  queue.push(request("c", 3, 300, /*rows=*/1));
+  // A closed queue still has work to drain until it runs dry.
+  queue.push(request("b", 2, 0, /*rows=*/2));
   queue.close();
-  EXPECT_TRUE(batcher.batch_ready(queue, 300));
+  EXPECT_TRUE(batcher.batch_ready(queue));
+  (void)batcher.collect(queue, 0);
+  EXPECT_FALSE(batcher.batch_ready(queue));
 }
 
 TEST(BatcherTest, CollectFillsUpToMaxRowsInFairOrder) {
@@ -114,34 +86,29 @@ TEST(BatcherTest, OversizedRequestShipsAloneInsteadOfStarving) {
   EXPECT_EQ(queue.depth(), 1u);
 }
 
-TEST(BatcherTest, NextDueNeverReturnsThePast) {
+TEST(BatcherTest, ReloadSwapsMaxBatchRowsAndValidates) {
   core::SimulatedClock clock{0};
   RequestQueue queue(QueueConfig{}, clock);
   AdaptiveBatcher batcher(config_8x());
 
-  EXPECT_EQ(batcher.next_due_us(queue, 0),
-            std::numeric_limits<std::uint64_t>::max());
-
-  queue.push(request("a", 1, 0));
-  // Window long expired: due clamps to "now", not a time in the past.
-  EXPECT_EQ(batcher.next_due_us(queue, 50'000), 50'000u);
-}
-
-TEST(BatcherTest, ReloadValidatesAndKeepsTheLearnedEwma) {
-  AdaptiveBatcher batcher(config_8x());
-  batcher.observe_service(2'000);
-
   BatcherConfig bad = config_8x();
-  bad.min_linger_us = 5'000;
-  bad.max_linger_us = 1'000;
+  bad.max_batch_rows = 0;
   EXPECT_THROW(batcher.reload(bad), Error);
+  EXPECT_EQ(batcher.config().max_batch_rows, 8);
 
-  BatcherConfig tighter = config_8x();
-  tighter.slo_p99_us = 3'000;
-  batcher.reload(tighter);
-  // EWMA survived the reload: linger = slo - ewma = 1000us.
-  EXPECT_EQ(batcher.service_ewma_us(), 2'000u);
-  EXPECT_EQ(batcher.linger_us(), 1'000u);
+  BatcherConfig narrower = config_8x();
+  narrower.max_batch_rows = 2;
+  narrower.slo_p99_us = 3'000;
+  batcher.reload(narrower);
+  EXPECT_EQ(batcher.config().max_batch_rows, 2);
+  EXPECT_EQ(batcher.config().slo_p99_us, 3'000u);
+
+  // The next cut obeys the new row budget.
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    queue.push(request("a", id, 0));
+  }
+  EXPECT_EQ(batcher.collect(queue, 0).size(), 2u);
+  EXPECT_EQ(queue.depth(), 1u);
 }
 
 }  // namespace

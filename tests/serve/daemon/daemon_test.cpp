@@ -26,7 +26,7 @@ namespace {
 /// Chaos-bundle harness with a daemon in pump mode over the supervisor.
 struct Harness {
   ChaosModelBundle bundle = make_chaos_model(/*seed=*/33);
-  SimulatedClock clock{0};
+  core::SimulatedClock clock{0};
   std::vector<std::unique_ptr<hw::FaultInjector>> injectors;
   std::mutex injectors_mutex;
   std::unique_ptr<ServingSupervisor> supervisor;
@@ -76,7 +76,6 @@ DaemonConfig pump_config() {
   DaemonConfig config;
   config.batcher.max_batch_rows = 8;
   config.batcher.slo_p99_us = 20'000;
-  config.batcher.max_linger_us = 2'000;
   config.queue.capacity = 64;
   config.sim_service_base_us = 400;
   config.sim_service_per_row_us = 100;
@@ -90,11 +89,11 @@ TEST(ServeDaemonTest, BlockingSubmitServesWithExactVirtualTimeAccounting) {
   const Tensor images = h.batch(1);
   const Reply reply = h.daemon->submit("alice", images);
 
-  // Alone in the queue: lingers the full (unseeded) 2ms window, then pays
-  // the simulated 400 + 100 * 1 service time.
+  // Alone with the worker free: served the instant it is submitted, so
+  // the latency is exactly the simulated 400 + 100 * 1 service time.
   EXPECT_EQ(reply.classes, h.reference->classify(images));
-  EXPECT_EQ(reply.queue_wait_us, 2'000u);
-  EXPECT_EQ(reply.latency_us, 2'500u);
+  EXPECT_EQ(reply.queue_wait_us, 0u);
+  EXPECT_EQ(reply.latency_us, 500u);
   EXPECT_EQ(reply.batch_rows, 1);
   EXPECT_EQ(reply.attempts, 1);
   EXPECT_FALSE(reply.degraded);
@@ -151,6 +150,45 @@ TEST(ServeDaemonTest, CoalescedBatchSlicesRepliesInRowOrder) {
   joined.insert(joined.end(), rb.classes.begin(), rb.classes.end());
   joined.insert(joined.end(), rc.classes.begin(), rc.classes.end());
   EXPECT_EQ(joined.size(), 8u);
+}
+
+TEST(ServeDaemonTest, BacklogLeavesInFullBatchesInFairOrder) {
+  Harness h;
+  h.start(pump_config());
+
+  std::vector<std::vector<std::uint64_t>> batches;
+  h.daemon->set_batch_observer([&](const Tensor& images,
+                                   const RequestResult& result,
+                                   const auto& requests) {
+    EXPECT_EQ(result.classes, h.reference->classify(images));
+    batches.emplace_back();
+    for (const auto& request : requests) {
+      batches.back().push_back(request->id());
+    }
+  });
+
+  // Ten 1-row requests queued at one instant: alice sends six (ids 1-6),
+  // then bob four (ids 7-10).
+  std::vector<std::shared_ptr<PendingRequest>> pending;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    pending.push_back(
+        h.daemon->submit_async(i < 6 ? "alice" : "bob", h.batch(i)));
+  }
+  h.daemon->pump_until_idle();
+
+  // The first cut takes a full 8-row batch alternating between the lanes;
+  // what alice has left ships next, once the worker is free again.
+  const std::vector<std::vector<std::uint64_t>> expected{
+      {1, 7, 2, 8, 3, 9, 4, 10}, {5, 6}};
+  EXPECT_EQ(batches, expected);
+  const Reply first = pending[0]->take();
+  EXPECT_EQ(first.batch_rows, 8);
+  EXPECT_EQ(first.queue_wait_us, 0u);
+  EXPECT_EQ(first.latency_us, 1'200u);  // 400 + 100 * 8
+  const Reply last = pending[5]->take();
+  EXPECT_EQ(last.batch_rows, 2);
+  EXPECT_EQ(last.queue_wait_us, 1'200u);
+  EXPECT_EQ(last.latency_us, 1'800u);  // waited out batch one, + 400 + 200
 }
 
 TEST(ServeDaemonTest, MismatchedSampleShapeIsRejectedSynchronously) {
@@ -273,7 +311,7 @@ TEST(ServeDaemonTest, ReloadSwapsPolicyKeepingSessionsAndQueue) {
 
   DaemonConfig tighter = pump_config();
   tighter.queue.capacity = 2;
-  tighter.batcher.max_linger_us = 0;  // cut batches immediately
+  tighter.batcher.max_batch_rows = 1;
   tighter.admission.high_watermark = 2;
   tighter.admission.low_watermark = 1;
   h.daemon->reload(tighter);
@@ -283,8 +321,13 @@ TEST(ServeDaemonTest, ReloadSwapsPolicyKeepingSessionsAndQueue) {
   const Reply after = h.daemon->submit("alice", h.batch(2));
   EXPECT_EQ(after.session_fingerprint, fingerprint);
   EXPECT_GE(h.daemon->stats().sessions.hits, 1u);
-  // New batcher policy in force: no linger window left.
-  EXPECT_EQ(after.queue_wait_us, 0u);
+  // New batcher policy in force: two queued rows leave one per batch.
+  auto x = h.daemon->submit_async("alice", h.batch(3));
+  auto y = h.daemon->submit_async("bob", h.batch(4));
+  EXPECT_EQ(h.daemon->pump(), 1u);
+  EXPECT_EQ(h.daemon->pump(), 1u);
+  EXPECT_EQ(x->take().batch_rows, 1);
+  EXPECT_EQ(y->take().batch_rows, 1);
 }
 
 TEST(ServeDaemonTest, IntegrityQuarantineRevokesTheBatchTenantsSessions) {
@@ -335,7 +378,6 @@ TEST(ServeDaemonTest, OverloadAcceptanceSheddingKeepsSloAndDeterminism) {
   scenario.config.verify = VerifyMode::kDigest;
   scenario.daemon.batcher.max_batch_rows = 8;
   scenario.daemon.batcher.slo_p99_us = 20'000;
-  scenario.daemon.batcher.max_linger_us = 2'000;
   scenario.daemon.queue.capacity = 64;
   scenario.daemon.queue.max_queue_wait_us = 20'000;
   scenario.daemon.admission.high_watermark = 48;

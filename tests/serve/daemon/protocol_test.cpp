@@ -46,6 +46,35 @@ TEST(ProtocolTest, RejectsMalformedLines) {
   EXPECT_THROW((void)parse_request("RELOAD =9000"), Error);          // no key
 }
 
+TEST(ProtocolTest, ReloadAppliesKnownKeysAndRejectsOthers) {
+  DaemonConfig base;
+  base.batcher.max_batch_rows = 8;
+  const DaemonConfig reloaded = apply_reload(
+      parse_request("RELOAD max-batch=4 slo-us=9000 tenant-qps=2.5"), base);
+  EXPECT_EQ(reloaded.batcher.max_batch_rows, 4);
+  EXPECT_EQ(reloaded.batcher.slo_p99_us, 9'000u);
+  EXPECT_DOUBLE_EQ(reloaded.admission.per_tenant.tokens_per_sec, 2.5);
+  EXPECT_EQ(base.batcher.max_batch_rows, 8);  // applied to a copy
+
+  // The retired linger window is an unknown key, not a silent no-op.
+  try {
+    (void)apply_reload(parse_request("RELOAD max-linger-us=2000"), base);
+    FAIL() << "max-linger-us was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown reload option"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)apply_reload(parse_request("RELOAD max-batch=4x"), base),
+               Error);
+  EXPECT_THROW(
+      (void)apply_reload(parse_request("RELOAD queue-capacity=-5"), base),
+      Error);
+  EXPECT_THROW((void)apply_reload(parse_request("RELOAD tenant-qps=fast"),
+                                  base),
+               Error);
+}
+
 TEST(ProtocolTest, FormatsReplyWithAccounting) {
   Reply reply;
   reply.classes = {3, 1};

@@ -32,7 +32,7 @@ std::uint64_t counter_value(const char* name) {
 /// the devices; the hook can run concurrently from maintenance workers).
 struct Harness {
   ChaosModelBundle bundle = make_chaos_model(/*seed=*/33);
-  SimulatedClock clock{0};
+  core::SimulatedClock clock{0};
   std::vector<std::unique_ptr<hw::FaultInjector>> injectors;
   std::mutex injectors_mutex;
   std::unique_ptr<ServingSupervisor> supervisor;

@@ -25,7 +25,7 @@ TEST(ServeConcurrencyTest, EightThreadsWithMidRunSeuServeNoWrongAnswers) {
   constexpr int kRequestsPerThread = 4;
 
   const ChaosModelBundle bundle = make_chaos_model(33);
-  SimulatedClock clock(0);
+  core::SimulatedClock clock(0);
   SupervisorConfig config;
   config.replicas = 4;
   config.clock = &clock;
