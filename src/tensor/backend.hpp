@@ -18,7 +18,7 @@ namespace hpnn::ops {
 
 /// Registers the built-in backends (first call only) and returns the
 /// active one. Selection follows core::active_compute_backend(): explicit
-/// set_backend() > HPNN_BACKEND env > legacy HPNN_SIMD env > auto-pick.
+/// set_backend() > HPNN_BACKEND env > auto-pick (a set HPNN_SIMD fails).
 const core::ComputeBackend& backend();
 
 /// Registers the built-ins (first call only), then switches the active

@@ -134,6 +134,51 @@ void pack_b(const core::ComputeBackend& be, const float* b, bool trans,
   }
 }
 
+void pack_b_im2row(const core::ComputeBackend& be, const float* plane,
+                   std::int64_t channels, std::int64_t plane_h,
+                   std::int64_t plane_w, std::int64_t kernel,
+                   std::int64_t stride, std::int64_t out_h,
+                   std::int64_t out_w, float* dst) {
+  const std::int64_t nr = be.gemm_nr();
+  const std::int64_t n = channels * kernel * kernel;
+  const std::int64_t k = out_h * out_w;
+  // Plane offset of each B column's window element (c, ky, kx) for output
+  // pixel (0, 0); pixel (y, x) adds y * stride * plane_w + x * stride.
+  core::ScratchArena::Scope scope;
+  auto* offset = reinterpret_cast<std::int64_t*>(
+      scope.bytes(static_cast<std::size_t>(n) * sizeof(std::int64_t)));
+  for (std::int64_t c = 0, j = 0; c < channels; ++c) {
+    for (std::int64_t ky = 0; ky < kernel; ++ky) {
+      for (std::int64_t kx = 0; kx < kernel; ++kx, ++j) {
+        offset[j] = (c * plane_h + ky) * plane_w + kx;
+      }
+    }
+  }
+  const std::int64_t panels = (n + nr - 1) / nr;
+  for (std::int64_t jp = 0; jp < panels; ++jp) {
+    const std::int64_t j0 = jp * nr;
+    const std::int64_t cols = std::min(nr, n - j0);
+    const std::int64_t* off = offset + j0;
+    float* d = dst + jp * nr * k;
+    for (std::int64_t y = 0; y < out_h; ++y) {
+      const float* row = plane + y * stride * plane_w;
+      for (std::int64_t x = 0; x < out_w; ++x, d += nr) {
+        const float* src = row + x * stride;
+        for (std::int64_t c = 0; c < cols; ++c) {
+          d[c] = src[off[c]];
+        }
+        for (std::int64_t c = cols; c < nr; ++c) {
+          d[c] = 0.0f;
+        }
+      }
+    }
+  }
+}
+
+bool gemm_takes_packed_path(std::int64_t m, std::int64_t n, std::int64_t k) {
+  return m > 1 && m * n * k > kSmallGemmVolume;
+}
+
 void gemm_packed_panels(const core::ComputeBackend& be, const float* pa,
                         const float* pb, std::int64_t m, std::int64_t panel0,
                         std::int64_t panel1, std::int64_t n, std::int64_t k,
@@ -229,15 +274,15 @@ void gemm_raw(const float* a, bool ta, const float* b, bool tb,
     return;
   }
   const core::ComputeBackend& be = backend();
-  if (m == 1) {
-    // m == 1 never fans out (single C row), so thread-count independence
-    // is trivial. Note op(A) is 1 x k, so the A element index is `p`
-    // whether or not A is stored transposed; alpha folds into the scalar.
-    be.gemv(a, b, tb, n, k, alpha, beta, c);
-    return;
-  }
-  if (m * n * k <= kSmallGemmVolume) {
-    gemm_small(a, ta, b, tb, m, n, k, alpha, beta, c, ldc);
+  if (!detail::gemm_takes_packed_path(m, n, k)) {
+    if (m == 1) {
+      // m == 1 never fans out (single C row), so thread-count independence
+      // is trivial. Note op(A) is 1 x k, so the A element index is `p`
+      // whether or not A is stored transposed; alpha folds into the scalar.
+      be.gemv(a, b, tb, n, k, alpha, beta, c);
+    } else {
+      gemm_small(a, ta, b, tb, m, n, k, alpha, beta, c, ldc);
+    }
     return;
   }
   core::ScratchArena::Scope scope;

@@ -61,6 +61,26 @@ void pack_a(const core::ComputeBackend& be, const float* a, bool trans,
 void pack_b(const core::ComputeBackend& be, const float* b, bool trans,
             std::int64_t k, std::int64_t n, float* dst);
 
+/// Packs the transpose of a convolution's im2col matrix, an "im2row",
+/// straight from the input plane: B is k x n with k = out_h * out_w output
+/// pixels and n = channels * kernel * kernel window offsets, so row p of B
+/// is the receptive field of pixel p in (c, ky, kx) order. `plane` is one
+/// [channels, plane_h, plane_w] sample with any zero padding already
+/// applied. The panels are identical to pack_b(be, cols, true, k, n, dst)
+/// of that sample's im2col `cols`, without materializing `cols` or
+/// re-reading it with stride k: each panel row is written contiguously.
+void pack_b_im2row(const core::ComputeBackend& be, const float* plane,
+                   std::int64_t channels, std::int64_t plane_h,
+                   std::int64_t plane_w, std::int64_t kernel,
+                   std::int64_t stride, std::int64_t out_h,
+                   std::int64_t out_w, float* dst);
+
+/// Whether gemm_raw computes an m x n x k product (k > 0, alpha != 0) with
+/// the packed microkernel. Otherwise m == 1 takes the backend's GEMV and
+/// the rest the unpacked small-volume path. Callers that pack their own
+/// operands ask this first, so every shape keeps gemm_raw's bits.
+bool gemm_takes_packed_path(std::int64_t m, std::int64_t n, std::int64_t k);
+
 /// C = (packed product) + beta * C over row panels [panel0, panel1) of the
 /// m-row problem. C has row stride ldc. Used directly by the parallel_for
 /// chunks. `be` must be the backend that packed pa/pb.

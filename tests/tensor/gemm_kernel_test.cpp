@@ -420,5 +420,49 @@ TEST(GemmKernelDetailTest, PackedSizesRoundUpToTiles) {
   }
 }
 
+// The weight-gradient "im2row" pack writes exactly the panels that the
+// transposed pack of the sample's im2col matrix does — every slot,
+// including the zero columns past n — for every backend's NR.
+TEST(GemmKernelDetailTest, Im2RowPanelsEqualTransposedPackOfIm2col) {
+  Rng rng(61);
+  for (const Conv2dGeometry& g :
+       {Conv2dGeometry{3, 32, 32, 3, 1, 1}, Conv2dGeometry{5, 11, 13, 3, 1, 1},
+        Conv2dGeometry{4, 15, 15, 3, 2, 1}, Conv2dGeometry{6, 9, 9, 1, 2, 0},
+        Conv2dGeometry{2, 7, 6, 5, 1, 2},
+        Conv2dGeometry{12, 16, 16, 3, 1, 0}}) {
+    const std::int64_t hp = g.in_h + 2 * g.padding;
+    const std::int64_t wp = g.in_w + 2 * g.padding;
+    const std::int64_t n = g.in_channels * g.kernel * g.kernel;
+    const std::int64_t k = g.out_h() * g.out_w();
+    const Tensor x = Tensor::normal(Shape{g.in_channels, g.in_h, g.in_w}, rng);
+    std::vector<float> plane(static_cast<std::size_t>(g.in_channels * hp * wp),
+                             0.0f);
+    for (std::int64_t c = 0; c < g.in_channels; ++c) {
+      for (std::int64_t y = 0; y < g.in_h; ++y) {
+        for (std::int64_t xx = 0; xx < g.in_w; ++xx) {
+          plane[static_cast<std::size_t>((c * hp + y + g.padding) * wp + xx +
+                                         g.padding)] =
+              x.at((c * g.in_h + y) * g.in_w + xx);
+        }
+      }
+    }
+    std::vector<float> cols(static_cast<std::size_t>(n * k));
+    im2col(x.data(), g, cols.data());
+    for (const std::string& name : backend_names()) {
+      const core::ComputeBackend& be = *find_backend(name);
+      const auto size =
+          static_cast<std::size_t>(detail::packed_b_floats(be, k, n));
+      std::vector<float> want(size, std::numeric_limits<float>::quiet_NaN());
+      std::vector<float> got = want;
+      detail::pack_b(be, cols.data(), true, k, n, want.data());
+      detail::pack_b_im2row(be, plane.data(), g.in_channels, hp, wp, g.kernel,
+                            g.stride, g.out_h(), g.out_w(), got.data());
+      EXPECT_EQ(std::memcmp(want.data(), got.data(), size * sizeof(float)), 0)
+          << name << " C=" << g.in_channels << " " << g.in_h << "x" << g.in_w
+          << " k=" << g.kernel << " s=" << g.stride << " p=" << g.padding;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hpnn::ops
