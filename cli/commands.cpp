@@ -957,8 +957,7 @@ int cmd_backends(const Args& args, std::ostream& out) {
     }
     out << "\n      " << be->description() << "\n";
   }
-  out << "\nselection: --backend > HPNN_BACKEND > HPNN_SIMD (legacy) > "
-         "auto-pick\n";
+  out << "\nselection: --backend > HPNN_BACKEND > auto-pick\n";
   return 0;
 }
 
@@ -1047,7 +1046,8 @@ std::string usage() {
       "  --backend B   compute backend: scalar | avx2 | avx512 (see\n"
       "                `hpnn backends`; default: HPNN_BACKEND env var, else\n"
       "                the best tier this CPU supports; unknown or\n"
-      "                unsupported names fail closed with exit code 2)\n"
+      "                unsupported names fail closed with exit code 2, as\n"
+      "                does a set HPNN_SIMD: use HPNN_BACKEND=scalar)\n"
       "\n"
       "exit codes:\n"
       "  0 success          1 command failed       2 usage error\n"
@@ -1093,9 +1093,9 @@ int run_command(const std::vector<std::string>& tokens, std::ostream& out) {
       core::set_thread_count(static_cast<int>(threads));
     }
     if (args.has("backend")) {
-      // Global option: overrides HPNN_BACKEND/HPNN_SIMD for this
-      // invocation. Fails closed (UsageError -> exit 2) on unknown or
-      // unsupported names before any kernel runs.
+      // Global option: overrides HPNN_BACKEND for this invocation. Fails
+      // closed (UsageError -> exit 2) on unknown or unsupported names
+      // before any kernel runs.
       ops::set_backend(args.require("backend"));
     }
     if (args.command.empty() || args.command == "help") {

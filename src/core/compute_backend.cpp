@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <utility>
 
@@ -186,19 +185,22 @@ const ComputeBackend& resolve_locked(const Registry& r,
 
 }  // namespace
 
-std::string backend_name_from_env(const char* env_backend,
-                                  const char* env_simd) {
+std::string backend_name_from_env(const char* env_backend) {
   if (env_backend != nullptr && env_backend[0] != '\0') {
     return env_backend;
   }
-  if (env_simd != nullptr &&
-      (std::strcmp(env_simd, "off") == 0 || std::strcmp(env_simd, "0") == 0 ||
-       std::strcmp(env_simd, "false") == 0 ||
-       std::strcmp(env_simd, "scalar") == 0)) {
-    // Legacy kill switch for A/B runs: force the scalar reference tier.
-    return "scalar";
-  }
   return "";
+}
+
+void reject_retired_simd_env(const char* env_simd) {
+  if (env_simd != nullptr && env_simd[0] != '\0') {
+    throw UsageError(
+        "HPNN_SIMD is no longer read (it was set to '" +
+        std::string(env_simd) +
+        "'); use HPNN_BACKEND=scalar to force the scalar backend, "
+        "HPNN_BACKEND=<name> for another tier, or unset HPNN_SIMD to "
+        "auto-pick");
+  }
 }
 
 void register_compute_backend(std::unique_ptr<ComputeBackend> backend) {
@@ -255,8 +257,8 @@ const ComputeBackend& active_compute_backend() {
   HPNN_CHECK(!r.backends.empty(),
              "no compute backends registered (the tensor layer registers "
              "the built-ins on first use)");
-  const std::string forced = backend_name_from_env(
-      std::getenv("HPNN_BACKEND"), std::getenv("HPNN_SIMD"));
+  reject_retired_simd_env(std::getenv("HPNN_SIMD"));
+  const std::string forced = backend_name_from_env(std::getenv("HPNN_BACKEND"));
   const ComputeBackend* chosen = nullptr;
   if (!forced.empty()) {
     chosen = &resolve_locked(r, forced, "environment");

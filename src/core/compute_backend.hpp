@@ -25,10 +25,10 @@
 // registered backend.
 //
 // Selection order: `--backend` CLI flag > `HPNN_BACKEND` environment >
-// legacy `HPNN_SIMD` environment (off/0/false/scalar force the scalar
-// reference) > automatic pick of the highest-priority backend whose
-// supported() probe passes. The registry fails closed: an unknown or
-// unsupported name is an error, never a silent fallback.
+// automatic pick of the highest-priority backend whose supported() probe
+// passes. The registry fails closed: an unknown or unsupported name is an
+// error, never a silent fallback, and so is the retired `HPNN_SIMD`
+// environment kill switch (`HPNN_BACKEND=scalar` replaces it).
 #pragma once
 
 #include <cstdint>
@@ -203,9 +203,9 @@ const ComputeBackend* find_compute_backend(const std::string& name);
 const ComputeBackend& compute_backend_by_name(const std::string& name);
 
 /// The active backend. Resolved on first use from the environment
-/// (HPNN_BACKEND, then legacy HPNN_SIMD, then auto-pick); throws
-/// UsageError when the environment names an unknown or unsupported
-/// backend, and Error when the registry is empty.
+/// (HPNN_BACKEND, else auto-pick); throws UsageError when the environment
+/// names an unknown or unsupported backend or sets the retired HPNN_SIMD,
+/// and Error when the registry is empty.
 const ComputeBackend& active_compute_backend();
 
 /// Switches the active backend (tests and the --backend CLI flag do this
@@ -222,11 +222,15 @@ void set_active_compute_backend(const std::string& name);
 std::uint64_t compute_backend_epoch();
 
 /// Pure selection-policy helper (unit-testable without touching the real
-/// environment): returns the backend name forced by the environment, or
-/// "" for auto-pick. `env_backend` is HPNN_BACKEND; `env_simd` is the
-/// legacy HPNN_SIMD kill switch, whose off/0/false/scalar values force the
-/// scalar reference backend. Either may be null (unset).
-std::string backend_name_from_env(const char* env_backend,
-                                  const char* env_simd);
+/// environment): returns the backend name forced by `env_backend`
+/// (HPNN_BACKEND; null or empty when unset), or "" for auto-pick.
+std::string backend_name_from_env(const char* env_backend);
+
+/// Fails closed on the retired HPNN_SIMD kill switch: throws UsageError
+/// pointing to HPNN_BACKEND=scalar when `env_simd` (HPNN_SIMD) is set to
+/// anything non-empty, so a leftover setting can never silently select a
+/// SIMD tier. Checked when the active backend is first resolved from the
+/// environment; an explicit --backend never reads the environment.
+void reject_retired_simd_env(const char* env_simd);
 
 }  // namespace hpnn::core

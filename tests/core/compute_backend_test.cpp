@@ -3,8 +3,9 @@
 // These tests exercise core/compute_backend directly with fake backends so
 // the policy is testable without the tensor layer: registration
 // uniqueness, fail-closed resolution (unknown AND unsupported names
-// throw), auto-pick by priority, the legacy HPNN_SIMD mapping, and epoch
-// monotonicity. The real tiers are swept by the conformance kit in
+// throw), auto-pick by priority, the environment policy (HPNN_BACKEND, and
+// the retired HPNN_SIMD failing closed), and epoch monotonicity. The real
+// tiers are swept by the conformance kit in
 // tests/tensor/backend_conformance_test.cpp.
 #include "core/compute_backend.hpp"
 
@@ -76,26 +77,31 @@ void register_fake_once(const std::string& name, bool supported,
 }
 
 TEST(BackendEnvPolicyTest, ExplicitBackendNameWins) {
-  EXPECT_EQ(backend_name_from_env("avx2", nullptr), "avx2");
-  EXPECT_EQ(backend_name_from_env("avx512", "off"), "avx512");
-  EXPECT_EQ(backend_name_from_env("scalar", "1"), "scalar");
+  EXPECT_EQ(backend_name_from_env("avx2"), "avx2");
+  EXPECT_EQ(backend_name_from_env("avx512"), "avx512");
+  EXPECT_EQ(backend_name_from_env("scalar"), "scalar");
 }
 
-TEST(BackendEnvPolicyTest, LegacySimdKillSwitchForcesScalar) {
-  for (const char* off : {"off", "0", "false", "scalar"}) {
-    EXPECT_EQ(backend_name_from_env(nullptr, off), "scalar") << off;
-    EXPECT_EQ(backend_name_from_env("", off), "scalar") << off;
+TEST(BackendEnvPolicyTest, UnsetOrEmptyAutoPicks) {
+  EXPECT_EQ(backend_name_from_env(nullptr), "");
+  EXPECT_EQ(backend_name_from_env(""), "");
+}
+
+TEST(BackendEnvPolicyTest, RetiredSimdEnvIsRejected) {
+  // Every value fails closed — the old kill-switch spellings and the old
+  // "SIMD allowed" ones alike — and the message names the replacement.
+  for (const char* value : {"off", "0", "false", "scalar", "1", "on"}) {
+    try {
+      reject_retired_simd_env(value);
+      ADD_FAILURE() << "HPNN_SIMD=" << value << " was accepted";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("HPNN_BACKEND=scalar"),
+                std::string::npos)
+          << e.what();
+    }
   }
-}
-
-TEST(BackendEnvPolicyTest, UnsetOrEnablingValuesAutoPick) {
-  EXPECT_EQ(backend_name_from_env(nullptr, nullptr), "");
-  EXPECT_EQ(backend_name_from_env("", nullptr), "");
-  // Any HPNN_SIMD value other than the kill-switch spellings means "SIMD
-  // allowed" — auto-pick, not a forced name.
-  EXPECT_EQ(backend_name_from_env(nullptr, "1"), "");
-  EXPECT_EQ(backend_name_from_env(nullptr, "on"), "");
-  EXPECT_EQ(backend_name_from_env(nullptr, "avx2"), "");
+  EXPECT_NO_THROW(reject_retired_simd_env(nullptr));
+  EXPECT_NO_THROW(reject_retired_simd_env(""));
 }
 
 TEST(BackendRegistryTest, DuplicateNameThrows) {
