@@ -58,7 +58,10 @@ void im2col(const float* input, const Conv2dGeometry& g, float* cols);
 void im2col(const std::int8_t* input, const Conv2dGeometry& g,
             std::int8_t* cols);
 
-/// col2im for one sample: scatter-add columns back to input gradient.
+/// col2im for one sample: scatter-adds columns onto the input gradient's
+/// current values, each element's additions in (c, ky, kx, y, x) order.
+/// A padded geometry scatters through a zero-bordered scratch plane, so
+/// every column row is one run with no bounds tests (as in im2col).
 void col2im(const float* cols, const Conv2dGeometry& g, float* input_grad);
 
 /// Convolution forward for a batch.
