@@ -13,6 +13,7 @@
 #include "core/threadpool.hpp"
 #include "hpnn/model_io.hpp"
 #include "hpnn/owner.hpp"
+#include "hpnn/locked_activation.hpp"
 #include "hw/device.hpp"
 #include "nn/layers.hpp"
 
@@ -113,6 +114,83 @@ TEST_F(ServingMetricsTest, MacCounterMatchesAnalyticCount) {
                 .counter("hw.mmu.mac_ops")
                 .value(),
             expected);
+}
+
+/// The MMU's key bookkeeping for one batch of `batch` images, derived from
+/// the owner's lock masks: every MAC layer that feeds a locked ReLU runs
+/// its set key bits through keyed accumulators once per sample, and each
+/// keyed output toggles the XOR gates of all k partial products.
+struct KeyBookkeeping {
+  std::uint64_t locked_outputs = 0;
+  std::uint64_t xor_gate_toggles = 0;
+};
+
+KeyBookkeeping analytic_key_bookkeeping(const obf::LockedModel& owner,
+                                        std::int64_t batch) {
+  KeyBookkeeping expected;
+  std::uint64_t k = 0;  // contraction depth of the latest MAC layer
+  const nn::Sequential& net = owner.network();
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    const nn::Module& m = net.at(i);
+    if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&m)) {
+      const auto& g = conv->geometry();
+      k = static_cast<std::uint64_t>(g.in_channels * g.kernel * g.kernel);
+    } else if (const auto* fc = dynamic_cast<const nn::Linear*>(&m)) {
+      k = static_cast<std::uint64_t>(fc->in_features());
+    } else if (const auto* act =
+                   dynamic_cast<const obf::LockedActivation*>(&m)) {
+      std::uint64_t set_bits = 0;
+      for (std::int64_t j = 0; j < act->lock().numel(); ++j) {
+        set_bits += act->lock().at(j) < 0.0f;
+      }
+      expected.locked_outputs += static_cast<std::uint64_t>(batch) * set_bits;
+      expected.xor_gate_toggles +=
+          static_cast<std::uint64_t>(batch) * set_bits * k;
+    }
+  }
+  return expected;
+}
+
+TEST_F(ServingMetricsTest, KeyBookkeepingMatchesAnalyticCount) {
+  struct Case {
+    models::Architecture arch;
+    std::int64_t channels;
+    double width;
+  };
+  for (const Case& c : {Case{models::Architecture::kCnn1, 1, 1.0},
+                        Case{models::Architecture::kCnn3, 3, 0.5}}) {
+    models::ModelConfig cfg = cnn1_cfg();
+    cfg.in_channels = c.channels;
+    cfg.width_mult = c.width;
+    Rng key_rng(47);
+    const obf::HpnnKey key = obf::HpnnKey::random(key_rng);
+    const std::uint64_t schedule_seed = 12345;
+    const obf::LockedModel owner(c.arch, cfg, key,
+                                 obf::Scheduler(schedule_seed));
+    std::stringstream ss;
+    obf::publish_model(ss, owner);
+    TrustedDevice device(key, schedule_seed);
+    device.load_model(obf::read_published_model(ss));
+
+    for (const std::int64_t batch : {1, 4}) {
+      SCOPED_TRACE(models::arch_name(c.arch) + " batch " +
+                   std::to_string(batch));
+      metrics::MetricsRegistry::instance().reset();
+      device.reset_stats();
+      Rng rng(static_cast<std::uint64_t>(400 + batch));
+      (void)device.infer(Tensor::normal(Shape{batch, c.channels, 16, 16}, rng,
+                                        0.0f, 0.25f));
+
+      const KeyBookkeeping expected = analytic_key_bookkeeping(owner, batch);
+      ASSERT_GT(expected.locked_outputs, 0u);
+      auto& reg = metrics::MetricsRegistry::instance();
+      EXPECT_EQ(device.mmu_stats().locked_outputs, expected.locked_outputs);
+      EXPECT_EQ(reg.counter("hw.mmu.locked_outputs").value(),
+                expected.locked_outputs);
+      EXPECT_EQ(reg.counter("hw.mmu.xor_gate_toggles").value(),
+                expected.xor_gate_toggles);
+    }
+  }
 }
 
 TEST_F(ServingMetricsTest, LatencyHistogramCountsEveryRequest) {
