@@ -69,8 +69,10 @@ void TrustedDevice::expand_locks(DevicePlan& plan) const {
     // Bias is preloaded into the same keyed accumulator on real hardware,
     // so the lock sign applies to it as well.
     op.negate.resize(count);
+    op.locked_outputs = 0;
     for (std::size_t i = 0; i < count; ++i) {
       op.negate[i] = m[i] < 0.0f;
+      op.locked_outputs += op.negate[i];
       op.sign_bias[i] = (op.negate[i] != 0 ? -1.0f : 1.0f) * op.bias[i];
     }
   }

@@ -103,8 +103,9 @@ class TrustedDevice {
   const SecureKeyStore& key_store() const { return key_store_; }
 
  private:
-  /// Derives every lock site's negate bytes, sign·bias terms and
-  /// vector-unit masks from the sealed key (on-chip key expansion).
+  /// Derives every lock site's negate bytes (and their count), sign·bias
+  /// terms and vector-unit masks from the sealed key (on-chip key
+  /// expansion).
   void expand_locks(DevicePlan& plan) const;
 
   SecureKeyStore key_store_;

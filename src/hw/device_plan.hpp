@@ -2,10 +2,12 @@
 // plan", and §15): TrustedDevice::load_model lowers the artifact's nn::Module
 // graph once into a DevicePlan — a flat op list with int8 weights prepared
 // for one compute backend, per-output bias terms, bound static scales and
-// decided MAC+ReLU fusion — and every inference is a const walk over it.
+// decided MAC+ReLU fusion, conv window offsets — and every inference is a
+// const walk over it.
 // The plan keeps the backend it was prepared on. Lock sites record the
 // activation index and shape; the device fills their key-derived terms
-// (negate bytes, sign·bias, vector-unit masks) from its sealed key.
+// (negate bytes and their count, sign·bias, vector-unit masks) from its
+// sealed key.
 #pragma once
 
 #include <memory>
@@ -48,9 +50,14 @@ struct DevicePlan {
     std::vector<float> bias;       // per output element
     std::vector<float> sign_bias;  // lock sign x bias per output element
     std::vector<std::uint8_t> negate;  // key bit per output; empty = none
+    std::uint64_t locked_outputs = 0;  // set bytes in `negate`
     bool relu = false;                 // the next ReLU, fused into the drain
     // kConv geometry; pools use its kernel and stride.
     ops::Conv2dGeometry geometry;
+    // kConv: the GEMM's window row offsets (core::I8Window), one per
+    // (c, ky, kx). Stride 1: into the sample's zero-bordered input plane;
+    // other strides: into the sample's im2col matrix.
+    std::vector<std::int64_t> window;
     // kRelu at the vector unit: per-element ±1 lock factors (may be empty).
     std::vector<float> mask;
     std::int64_t lock_index = -1;

@@ -49,16 +49,18 @@ class Mmu {
                  std::span<std::int32_t> out);
 
   /// The same GEMM against weights laid out once at model load by
-  /// ComputeBackend::prepare_i8: kLeft computes out[rows * x_extent] =
-  /// W @ x (x is [cols, x_extent]), kRight out[x_extent * cols] = x @ W
-  /// (x is [x_extent, rows]). Runs on the backend that prepared `w`, not
-  /// the active one. Statistics, counters, fault hooks and the
-  /// gate-accurate path treat it exactly as matmul_i8 with the operands in
-  /// that order.
-  void matmul_i8_prepared(const core::PreparedI8& w,
-                          std::span<const std::int8_t> x,
-                          std::int64_t x_extent,
+  /// ComputeBackend::prepare_i8: kLeft computes out[rows * x.extent] =
+  /// W @ X with X the [cols, x.extent] window `x` (core::I8Window), kRight
+  /// out[x.extent * cols] = X @ W with X the row-major [x.extent, rows]
+  /// matrix at x.data. Runs on the backend that prepared `w`, not the
+  /// active one. `locked_outputs` is the number of non-zero bytes in
+  /// `negate`, counted once when the key bits were expanded, so the
+  /// bookkeeping does not re-scan them per GEMM. Statistics, counters,
+  /// fault hooks and the gate-accurate path treat it exactly as matmul_i8
+  /// with the operands in that order.
+  void matmul_i8_prepared(const core::PreparedI8& w, const core::I8Window& x,
                           std::span<const std::uint8_t> negate,
+                          std::uint64_t locked_outputs,
                           std::span<std::int32_t> out);
 
   const MmuStats& stats() const { return stats_; }
@@ -80,10 +82,10 @@ class Mmu {
                            std::int64_t k, const std::int8_t* w,
                            std::int64_t n, std::span<const std::uint8_t> negate,
                            std::span<std::int32_t> out);
-  /// Fault hooks, then the cycle model, stats and counters of one GEMM.
+  /// Fault hooks, then the cycle model, stats and counters of one GEMM
+  /// with `locked` keyed outputs.
   void finish(std::int64_t m, std::int64_t k, std::int64_t n,
-              std::span<const std::uint8_t> negate,
-              std::span<std::int32_t> out);
+              std::uint64_t locked, std::span<std::int32_t> out);
 
   Fidelity fidelity_;
   MmuStats stats_;

@@ -6,6 +6,7 @@
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "tensor/backend.hpp"
 
 namespace hpnn::hw {
 namespace {
@@ -143,6 +144,78 @@ TEST(MmuTest, SizeValidation) {
   std::vector<std::int8_t> w2(6);
   EXPECT_THROW(mmu.matmul_i8(a, 2, 3, w2, 2, badmask, std::span(ok.data(), 4)),
                InvariantError);
+}
+
+/// A 2-channel 3x3 conv over a 4x6 input with padding 1, read through
+/// the window over its zero-bordered [2, 6, 8] plane: out_w 6 leaves
+/// vectors that straddle output rows.
+struct PlaneWindow {
+  static constexpr std::int64_t kChannels = 2, kHp = 6, kWp = 8;
+  static constexpr std::int64_t kOutH = 4, kOutW = 6, kK = 18;
+  std::vector<std::int8_t> plane;
+  std::vector<std::int64_t> offsets;
+
+  explicit PlaneWindow(Rng& rng)
+      : plane(static_cast<std::size_t>(kChannels * kHp * kWp), 0) {
+    for (std::int64_t c = 0; c < kChannels; ++c) {
+      for (std::int64_t y = 1; y + 1 < kHp; ++y) {
+        for (std::int64_t x = 1; x + 1 < kWp; ++x) {
+          plane[static_cast<std::size_t>((c * kHp + y) * kWp + x)] =
+              static_cast<std::int8_t>(
+                  static_cast<std::int32_t>(rng.uniform_index(256)) - 128);
+        }
+      }
+      for (std::int64_t ky = 0; ky < 3; ++ky) {
+        for (std::int64_t kx = 0; kx < 3; ++kx) {
+          offsets.push_back((c * kHp + ky) * kWp + kx);
+        }
+      }
+    }
+  }
+
+  core::I8Window window() const {
+    return {plane.data(), plane.size(), kOutH * kOutW, offsets.data(), kOutW,
+            kWp};
+  }
+};
+
+TEST(MmuTest, BitAccurateWindowMatchesFast) {
+  Rng rng(8);
+  const PlaneWindow pw(rng);
+  const std::int64_t filters = 3, n = PlaneWindow::kOutH * PlaneWindow::kOutW;
+  const auto wv = random_i8(filters * PlaneWindow::kK, rng);
+  const core::PreparedI8 w = ops::backend().prepare_i8(
+      wv.data(), filters, PlaneWindow::kK, core::PreparedI8::Side::kLeft);
+  std::vector<std::uint8_t> negate(static_cast<std::size_t>(filters * n), 0);
+  std::uint64_t locked = 0;
+  for (std::size_t i = 0; i < negate.size(); i += 3) {
+    negate[i] = 1;
+    ++locked;
+  }
+  std::vector<std::int32_t> fast_out(negate.size()), gate_out(negate.size());
+  Mmu fast(Fidelity::kFast);
+  Mmu gates(Fidelity::kBitAccurate);
+  fast.matmul_i8_prepared(w, pw.window(), negate, locked, fast_out);
+  gates.matmul_i8_prepared(w, pw.window(), negate, locked, gate_out);
+  EXPECT_EQ(fast_out, gate_out);
+  // The bookkeeping takes the precounted key bits as given.
+  EXPECT_EQ(fast.stats().locked_outputs, locked);
+  EXPECT_EQ(gates.stats().mac_ops,
+            static_cast<std::uint64_t>(filters * PlaneWindow::kK * n));
+}
+
+TEST(MmuTest, WindowOutsideItsOperandIsRejected) {
+  Rng rng(9);
+  const PlaneWindow pw(rng);
+  const auto wv = random_i8(PlaneWindow::kK, rng);
+  const core::PreparedI8 w = ops::backend().prepare_i8(
+      wv.data(), 1, PlaneWindow::kK, core::PreparedI8::Side::kLeft);
+  std::vector<std::int32_t> out(PlaneWindow::kOutH * PlaneWindow::kOutW);
+  Mmu mmu;
+  core::I8Window x = pw.window();
+  x.size -= 1;
+  EXPECT_THROW(mmu.matmul_i8_prepared(w, x, {}, 0, out), InvariantError);
+  EXPECT_EQ(mmu.stats().gemm_calls, 0u);
 }
 
 }  // namespace

@@ -310,8 +310,12 @@ std::vector<std::int32_t> prepared_product(
   const core::PreparedI8 w = left ? be.prepare_i8(a.data(), m, k, side)
                                   : be.prepare_i8(b.data(), k, n, side);
   std::vector<std::int32_t> out(static_cast<std::size_t>(m * n));
-  be.matmul_i8_prepared(w, left ? b.data() : a.data(), left ? n : m, negate,
-                        out.data());
+  // kLeft reads B as the one-run window over the dense matrix.
+  const std::vector<std::int64_t> offsets = core::dense_window_offsets(k, n);
+  const core::I8Window x =
+      left ? core::I8Window{b.data(), b.size(), n, offsets.data(), n, n}
+           : core::I8Window{a.data(), a.size(), m};
+  be.matmul_i8_prepared(w, x, negate, out.data());
   return out;
 }
 
