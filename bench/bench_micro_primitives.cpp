@@ -260,7 +260,11 @@ void gemm_backend_body(benchmark::State& state, const std::string& backend) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 
-void mmu_backend_body(benchmark::State& state, const std::string& backend) {
+/// The MMU's int8 GEMM on `backend`: hw::Mmu::matmul_i8, which lays the
+/// weights out on every call, or with `prepared` the kernel alone against
+/// weights laid out once, as a model load does.
+void mmu_backend_body(benchmark::State& state, const std::string& backend,
+                      bool prepared) {
   ops::set_backend(backend);
   Rng rng(5);
   const std::int64_t m = 32, k = 256, n = 256;
@@ -274,8 +278,15 @@ void mmu_backend_body(benchmark::State& state, const std::string& backend) {
   }
   std::vector<std::int32_t> out(static_cast<std::size_t>(m * n));
   hw::Mmu mmu;
+  const core::PreparedI8 weights = ops::backend().prepare_i8(
+      w.data(), k, n, core::PreparedI8::Side::kRight);
   for (auto _ : state) {
-    mmu.matmul_i8(a, m, k, w, n, {}, out);
+    if (prepared) {
+      mmu.matmul_i8_prepared(weights, core::I8Window{a.data(), a.size(), m},
+                             {}, 0, out);
+    } else {
+      mmu.matmul_i8(a, m, k, w, n, {}, out);
+    }
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * m * k * n);
@@ -398,7 +409,14 @@ void register_backend_benchmarks() {
         ->Arg(256);
     benchmark::RegisterBenchmark(
         ("BM_MmuGemmI8Backend/" + name).c_str(),
-        [name](benchmark::State& state) { mmu_backend_body(state, name); });
+        [name](benchmark::State& state) {
+          mmu_backend_body(state, name, false);
+        });
+    benchmark::RegisterBenchmark(
+        ("BM_MmuGemmI8Prepared/" + name).c_str(),
+        [name](benchmark::State& state) {
+          mmu_backend_body(state, name, true);
+        });
     benchmark::RegisterBenchmark(
         ("BM_DeviceInferCnn3/" + name).c_str(),
         [name](benchmark::State& state) { device_cnn3_body(state, name); })

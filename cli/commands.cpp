@@ -69,7 +69,9 @@ obf::PublishedModel load_artifact(const Args& args) {
 }
 
 int cmd_zoo(const Args& args, std::ostream& out) {
-  obf::ModelZoo zoo(args.require("zoo"));
+  const std::string dir = args.require("zoo");
+  args.reject_unread();
+  obf::ModelZoo zoo(dir);
   const auto entries = zoo.list();
   if (entries.empty()) {
     out << "zoo at " << zoo.directory() << " is empty\n";
@@ -93,6 +95,13 @@ int cmd_provision(const Args& args, std::ostream& out) {
   config.devices = static_cast<std::size_t>(args.get_int("devices", 16));
   config.device.schedule_policy = policy_from_args(args);
   config.attest = args.get_int("attest", 1) != 0;
+  const std::string* challenge_in = args.lookup("challenge");
+  const auto probe_seed =
+      static_cast<std::uint64_t>(args.get_int("probe-seed", 97));
+  const std::int64_t probes = args.get_int("probes", 16);
+  const std::string* challenge_out = args.lookup("challenge-out");
+  const bool json = args.has("json");
+  args.reject_unread();
 
   // The challenge either comes from the owner (--challenge FILE, the real
   // deployment shape: a vendor cannot forge a passing fleet with a wrong
@@ -100,11 +109,10 @@ int cmd_provision(const Args& args, std::ostream& out) {
   // synthesized here from the supplied master when this invocation *is*
   // the owner. --challenge-out saves a synthesized challenge for vendors.
   obf::AttestationChallenge challenge;
-  if (args.has("challenge")) {
-    std::ifstream is(args.require("challenge"), std::ios::binary);
+  if (challenge_in != nullptr) {
+    std::ifstream is(*challenge_in, std::ios::binary);
     if (!is) {
-      throw SerializationError("cannot open challenge file " +
-                               args.require("challenge"));
+      throw SerializationError("cannot open challenge file " + *challenge_in);
     }
     challenge = obf::read_challenge(is);
   } else {
@@ -115,19 +123,18 @@ int cmd_provision(const Args& args, std::ostream& out) {
     const obf::SchemeSecrets secrets = obf::derive_scheme_secrets(
         master, model_id, config.device.schedule_policy);
     auto reference = scheme.make_evaluator(artifact, secrets);
-    Rng probe_rng(
-        static_cast<std::uint64_t>(args.get_int("probe-seed", 97)));
-    challenge = obf::make_challenge(
-        reference->network(), artifact.in_channels, artifact.image_size,
-        args.get_int("probes", 16), probe_rng);
-    if (args.has("challenge-out")) {
-      const std::string path = args.require("challenge-out");
-      std::ofstream os(path, std::ios::binary);
+    Rng probe_rng(probe_seed);
+    challenge = obf::make_challenge(reference->network(),
+                                    artifact.in_channels,
+                                    artifact.image_size, probes, probe_rng);
+    if (challenge_out != nullptr) {
+      std::ofstream os(*challenge_out, std::ios::binary);
       obf::write_challenge(os, challenge);
       if (!os) {
-        throw SerializationError("cannot write challenge file " + path);
+        throw SerializationError("cannot write challenge file " +
+                                 *challenge_out);
       }
-      out << "challenge written to " << path << "\n";
+      out << "challenge written to " << *challenge_out << "\n";
     }
   }
 
@@ -142,7 +149,7 @@ int cmd_provision(const Args& args, std::ostream& out) {
   out << "throughput: " << report.devices_per_second << " devices/s (wall "
       << report.wall_seconds << "s), model key fingerprint "
       << report.model_key_fingerprint.substr(0, 16) << "...\n";
-  if (args.has("json")) {
+  if (json) {
     serve::write_fleet_json(out, report);
     out << "\n";
   }
@@ -161,6 +168,7 @@ int cmd_provision(const Args& args, std::ostream& out) {
 int cmd_dataset(const Args& args, std::ostream& out) {
   const auto split = load_dataset(args);
   const std::string prefix = args.require("out");
+  args.reject_unread();
   data::save_dataset_file(prefix + ".train.hpds", split.train);
   data::save_dataset_file(prefix + ".test.hpds", split.test);
   out << "wrote " << prefix << ".train.hpds (" << split.train.size()
@@ -191,11 +199,13 @@ models::ModelConfig model_config_for(const Args& args,
 int cmd_keygen(const Args& args, std::ostream& out) {
   Rng rng(static_cast<std::uint64_t>(
       args.get_int("seed", 0x48504E4E)));
+  const std::string* id_arg = args.lookup("model-id");
+  args.reject_unread();
   const obf::HpnnKey key = obf::HpnnKey::random(rng);
   out << "key:         " << key.to_hex() << "\n";
   out << "fingerprint: " << obf::key_fingerprint(key) << "\n";
-  if (args.has("model-id")) {
-    const std::string id = args.require("model-id");
+  if (id_arg != nullptr) {
+    const std::string& id = *id_arg;
     const obf::HpnnKey sub = obf::derive_model_key(key, id);
     out << "model key (" << id << "): " << sub.to_hex() << "\n";
     out << "schedule seed (" << id
@@ -209,30 +219,36 @@ int cmd_train(const Args& args, std::ostream& out) {
   obf::HpnnKey key = obf::HpnnKey::from_hex(args.require("key"));
   std::uint64_t schedule_seed =
       static_cast<std::uint64_t>(args.get_int("schedule-seed", 0xDAC));
-  if (args.has("model-id")) {
-    // Master-key mode: diversify per model id.
-    const std::string id = args.require("model-id");
-    schedule_seed = obf::derive_schedule_seed(key, id);
-    key = obf::derive_model_key(key, id);
-    out << "derived model key for '" << id
-        << "', fingerprint: " << obf::key_fingerprint(key) << "\n";
-  }
+  const std::string* model_id = args.lookup("model-id");
   const models::Architecture arch =
       models::arch_from_name(args.get("arch", "CNN1"));
-
-  obf::Scheduler scheduler(schedule_seed, policy_from_args(args));
-  obf::LockedModel model(arch, model_config_for(args, split.train), key,
-                         scheduler);
-  out << "training " << models::arch_name(arch) << " ("
-      << model.locked_neuron_count() << " locked neurons) on "
-      << split.train.name << "...\n";
-
+  const obf::SchedulePolicy policy = policy_from_args(args);
+  const models::ModelConfig config = model_config_for(args, split.train);
   obf::OwnerTrainOptions opt;
   opt.epochs = args.get_int("epochs", 8);
   opt.sgd.lr = args.get_double("lr", 0.01);
   opt.sgd.momentum = args.get_double("momentum", 0.9);
   opt.sgd.weight_decay = args.get_double("weight-decay", 5e-4);
   opt.batch_size = args.get_int("batch", 32);
+  // The artifact goes to a zoo store (--zoo DIR --name N) or a file (--out).
+  const std::string* zoo_dir = args.lookup("zoo");
+  const std::string target = args.require(zoo_dir != nullptr ? "name" : "out");
+  const bool static_quant = args.has("static-quant");
+  args.reject_unread();
+
+  if (model_id != nullptr) {
+    // Master-key mode: diversify per model id.
+    schedule_seed = obf::derive_schedule_seed(key, *model_id);
+    key = obf::derive_model_key(key, *model_id);
+    out << "derived model key for '" << *model_id
+        << "', fingerprint: " << obf::key_fingerprint(key) << "\n";
+  }
+  obf::Scheduler scheduler(schedule_seed, policy);
+  obf::LockedModel model(arch, config, key, scheduler);
+  out << "training " << models::arch_name(arch) << " ("
+      << model.locked_neuron_count() << " locked neurons) on "
+      << split.train.name << "...\n";
+
   const auto report =
       obf::train_locked_model(model, split.train, split.test, opt);
 
@@ -244,16 +260,15 @@ int cmd_train(const Args& args, std::ostream& out) {
       obf::evaluate_without_key(model, key, scheduler, split.test);
   out << "test accuracy  (no key)  : " << nokey * 100 << "%\n";
 
-  if (args.has("zoo")) {
+  if (zoo_dir != nullptr) {
     // Publish straight into a zoo store instead of a bare file.
-    obf::ModelZoo zoo(args.require("zoo"));
-    zoo.publish(args.require("name"), model);
-    out << "published '" << args.require("name") << "' to zoo "
-        << zoo.directory() << "\n";
+    obf::ModelZoo zoo(*zoo_dir);
+    zoo.publish(target, model);
+    out << "published '" << target << "' to zoo " << zoo.directory() << "\n";
     return 0;
   }
-  const std::string path = args.require("out");
-  if (args.has("static-quant")) {
+  const std::string& path = target;
+  if (static_quant) {
     // Calibrate static int8 activation scales on (a slice of) the training
     // set and embed them in the artifact.
     const std::int64_t n =
@@ -284,14 +299,18 @@ int cmd_eval(const Args& args, std::ostream& out) {
   const auto artifact =
       load_artifact(args);
   const auto split = load_dataset(args);
-  if (args.has("key")) {
-    const obf::HpnnKey key = obf::HpnnKey::from_hex(args.require("key"));
-    const std::uint64_t schedule_seed =
-        static_cast<std::uint64_t>(args.get_int("schedule-seed", 0xDAC));
-    if (args.has("device")) {
+  const std::string* key_hex = args.lookup("key");
+  const std::uint64_t schedule_seed =
+      static_cast<std::uint64_t>(args.get_int("schedule-seed", 0xDAC));
+  const bool on_device = args.has("device");
+  const obf::SchedulePolicy policy = policy_from_args(args);
+  args.reject_unread();
+  if (key_hex != nullptr) {
+    const obf::HpnnKey key = obf::HpnnKey::from_hex(*key_hex);
+    if (on_device) {
       // Run on the trusted-device integer datapath.
       hw::DeviceConfig dev_cfg;
-      dev_cfg.schedule_policy = policy_from_args(args);
+      dev_cfg.schedule_policy = policy;
       hw::TrustedDevice device(key, schedule_seed, dev_cfg);
       device.load_model(artifact);
       std::int64_t correct = 0;
@@ -318,7 +337,7 @@ int cmd_eval(const Args& args, std::ostream& out) {
       out << "mmu: " << stats.mac_ops << " MACs, " << stats.cycles
           << " cycles, " << stats.locked_outputs << " keyed outputs\n";
     } else {
-      obf::Scheduler scheduler(schedule_seed, policy_from_args(args));
+      obf::Scheduler scheduler(schedule_seed, policy);
       auto model = obf::instantiate_locked(artifact, key, scheduler);
       out << "accuracy (with key): "
           << nn::evaluate_accuracy(model->network(), split.test.images,
@@ -355,6 +374,7 @@ int cmd_attack(const Args& args, std::ostream& out) {
   const attack::InitStrategy strategy =
       init == "random" ? attack::InitStrategy::kRandomSmall
                        : attack::InitStrategy::kStolenWeights;
+  args.reject_unread();
 
   out << "fine-tuning attack (" << attack::init_strategy_name(strategy)
       << ") with " << thief.size() << " thief samples (alpha = "
@@ -424,6 +444,9 @@ int cmd_defend_bench(const Args& args, std::ostream& out) {
   if (args.has("budgets")) {
     opt.budgets = parse_budget_list(args.require("budgets"));
   }
+  const std::string json_path = args.get("json-out", "BENCH_defense.json");
+  const bool json = args.has("json");
+  args.reject_unread();
 
   out << "defense benchmark: " << models::arch_name(opt.arch) << ", "
       << (opt.schemes.empty() ? obf::registered_scheme_tags().size()
@@ -451,7 +474,6 @@ int cmd_defend_bench(const Args& args, std::ostream& out) {
         << c.work << "\n";
   }
 
-  const std::string json_path = args.get("json-out", "BENCH_defense.json");
   if (json_path != "-") {
     std::ofstream os(json_path);
     if (!os) {
@@ -460,15 +482,17 @@ int cmd_defend_bench(const Args& args, std::ostream& out) {
     attack::write_defense_json(os, report);
     out << "curves written to " << json_path << "\n";
   }
-  if (args.has("json")) {
+  if (json) {
     attack::write_defense_json(out, report);
   }
   return 0;
 }
 
 int cmd_inspect(const Args& args, std::ostream& out) {
-  const auto artifact =
-      load_artifact(args);
+  const auto artifact = load_artifact(args);
+  const bool tensors = args.has("tensors");
+  const bool summary = args.has("summary");
+  args.reject_unread();
   out << "architecture: " << models::arch_name(artifact.arch) << "\n";
   out << "input:        " << artifact.in_channels << "x"
       << artifact.image_size << "x" << artifact.image_size << "\n";
@@ -488,12 +512,12 @@ int cmd_inspect(const Args& args, std::ostream& out) {
     out << "static quant:  " << artifact.activation_scales.size()
         << " calibrated activation scales\n";
   }
-  if (args.has("tensors")) {
+  if (tensors) {
     for (const auto& p : artifact.parameters) {
       out << "  " << p.name << " " << p.value.shape().to_string() << "\n";
     }
   }
-  if (args.has("summary")) {
+  if (summary) {
     auto net = obf::instantiate_baseline(artifact);
     out << nn::summary_table(*net);
   }
@@ -538,6 +562,12 @@ int cmd_fault_campaign(const Args& args, std::ostream& out) {
   const int trials = static_cast<int>(args.get_int("trials", 3));
   const auto campaign_seed =
       static_cast<std::uint64_t>(args.get_int("campaign-seed", 1));
+  const double acc_rate = args.get_double("acc-rate", 0.0);
+  const int acc_bit = static_cast<int>(
+      args.get_int("acc-bit", hw::FaultPlan{}.accumulator_bit));
+  const double scale_err = args.get_double("scale-error", 0.0);
+  const bool json = args.has("json");
+  args.reject_unread();
 
   const auto baseline = hw::run_fault_trial(
       key, schedule_seed, artifact, split.test.images, split.test.labels,
@@ -555,12 +585,10 @@ int cmd_fault_campaign(const Args& args, std::ostream& out) {
         << "%\t" << p.detection_rate * 100 << "%\n";
   }
 
-  const double acc_rate = args.get_double("acc-rate", 0.0);
   if (acc_rate > 0.0) {
     hw::FaultPlan plan;
     plan.accumulator_flip_rate = acc_rate;
-    plan.accumulator_bit =
-        static_cast<int>(args.get_int("acc-bit", plan.accumulator_bit));
+    plan.accumulator_bit = acc_bit;
     plan.seed = campaign_seed;
     const auto trial = hw::run_fault_trial(
         key, schedule_seed, artifact, split.test.images, split.test.labels,
@@ -569,7 +597,6 @@ int cmd_fault_campaign(const Args& args, std::ostream& out) {
         << plan.accumulator_bit << "): accuracy " << trial.accuracy * 100
         << "%, " << trial.stats.accumulator_faults << " flips\n";
   }
-  const double scale_err = args.get_double("scale-error", 0.0);
   if (scale_err != 0.0) {
     hw::FaultPlan plan;
     plan.scale_relative_error = scale_err;
@@ -580,57 +607,11 @@ int cmd_fault_campaign(const Args& args, std::ostream& out) {
         << trial.accuracy * 100 << "%\n";
   }
 
-  if (args.has("json")) {
+  if (json) {
     hw::write_campaign_json(out, models::arch_name(artifact.arch),
                             baseline.accuracy, points);
     out << "\n";
   }
-  return 0;
-}
-
-int cmd_metrics_demo(const Args& args, std::ostream& out) {
-  if (!metrics::enabled()) {
-    out << "metrics are disabled (HPNN_METRICS=off or compiled out); "
-           "nothing to demo\n";
-    return 1;
-  }
-  // Tiny end-to-end pass — train a locked model, publish it, serve a batch
-  // on the trusted device — so every instrumented layer (tensor ops, pool,
-  // trainer, MMU, device) shows up in the snapshot printed below.
-  data::SyntheticConfig dc;
-  dc.train_per_class = args.get_int("tpc", 6);
-  dc.test_per_class = args.get_int("testpc", 3);
-  dc.image_size = args.get_int("img", 12);
-  dc.seed = static_cast<std::uint64_t>(args.get_int("data-seed", 42));
-  const auto split =
-      data::make_dataset(data::SyntheticFamily::kFashionSynth, dc);
-
-  Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 7)));
-  const obf::HpnnKey key = obf::HpnnKey::random(rng);
-  const std::uint64_t schedule_seed = 0xDAC;
-  obf::Scheduler scheduler(schedule_seed, obf::SchedulePolicy::kInterleaved);
-  models::ModelConfig mc = model_config_for(args, split.train);
-  obf::LockedModel model(models::arch_from_name(args.get("arch", "MLP")), mc,
-                         key, scheduler);
-
-  obf::OwnerTrainOptions opt;
-  opt.epochs = args.get_int("epochs", 1);
-  opt.batch_size = 16;
-  obf::train_locked_model(model, split.train, split.test, opt);
-
-  std::stringstream artifact_buf;
-  obf::publish_model(artifact_buf, model);
-  const obf::PublishedModel artifact =
-      obf::read_published_model(artifact_buf);
-  hw::TrustedDevice device(key, schedule_seed, hw::DeviceConfig{});
-  device.load_model(artifact);
-  device.classify(split.test.images);
-
-  const auto snap = metrics::MetricsRegistry::instance().snapshot();
-  metrics::write_json(out, snap);
-  const auto events = metrics::TraceBuffer::instance().events();
-  out << "trace: " << events.size() << " spans retained (capacity "
-      << metrics::TraceBuffer::instance().capacity() << ")\n";
   return 0;
 }
 
@@ -945,7 +926,7 @@ int cmd_serve_sim(const Args& args, std::ostream& out) {
 }
 
 int cmd_backends(const Args& args, std::ostream& out) {
-  (void)args;
+  args.reject_unread();
   // Listing must not force resolution side effects beyond registration:
   // report the active backend exactly as the next kernel call would see it.
   const std::string active = ops::backend().name();
@@ -963,6 +944,7 @@ int cmd_backends(const Args& args, std::ostream& out) {
 
 int cmd_overhead(const Args& args, std::ostream& out) {
   const std::int64_t dim = args.get_int("dim", 256);
+  args.reject_unread();
   const auto report = hw::mmu_overhead(dim);
   out << report.to_string() << "\n";
   out << "overhead vs 1e6-gate reference MMU: "
@@ -1003,8 +985,6 @@ std::string usage() {
       "  backends                                     list compute backends\n"
       "                                               (* marks the active one)\n"
       "  overhead [--dim N]                           locking hardware cost\n"
-      "  metrics-demo [--arch A --epochs E]           end-to-end pass that\n"
-      "                                               prints a metrics snapshot\n"
       "  fault-campaign --model FILE --dataset D --key HEX\n"
       "           [--bits 0,1,2,4,8 --trials N --campaign-seed N\n"
       "            --acc-rate F --acc-bit B --scale-error F --json 1]\n"
@@ -1070,7 +1050,6 @@ int dispatch(const Args& args, std::ostream& out) {
   if (args.command == "inspect") return cmd_inspect(args, out);
   if (args.command == "backends") return cmd_backends(args, out);
   if (args.command == "overhead") return cmd_overhead(args, out);
-  if (args.command == "metrics-demo") return cmd_metrics_demo(args, out);
   if (args.command == "fault-campaign") {
     return cmd_fault_campaign(args, out);
   }

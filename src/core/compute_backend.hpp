@@ -2,11 +2,12 @@
 //
 // Every dense kernel in the system — GEMM/GEMV, the im2col-lowered conv
 // forward/backward, pooling drivers, the vectorized elementwise and
-// locked-ReLU ops, and the MMU's fast-fidelity int8 datapath — routes its
-// innermost compute through one ComputeBackend. The blocking, packing,
-// thread-pool fan-out and chunking structure stays *shared* above the
-// interface (tensor/gemm_kernel, tensor/ops): a backend supplies the
-// register microkernel and the vector primitives, not its own loop nest.
+// locked-ReLU ops, and the MMU's fast-fidelity int8 GEMM over prepared
+// weights — routes its innermost compute through one ComputeBackend. The
+// blocking, packing, thread-pool fan-out and chunking structure stays
+// *shared* above the interface (tensor/gemm_kernel, tensor/ops): a backend
+// supplies the register microkernel and the vector primitives, not its own
+// loop nest.
 // That boundary is deliberate — it is what makes the per-backend contracts
 // cheap to uphold:
 //   - results are bit-identical at any HPNN_THREADS for a fixed backend
@@ -16,8 +17,8 @@
 //     multiply is exact in every vector width);
 //   - the int8 MMU datapath is bit-identical across *all* backends (32-bit
 //     wrap-around accumulation is modular arithmetic, so any evaluation
-//     order — scalar, AVX2 widening, AVX-512 VNNI vpdpbusd — produces the
-//     same bits).
+//     order — scalar axpy, AVX2 vpmaddwd, AVX-512 VNNI vpdpwssd — produces
+//     the same bits).
 // Float GEMM/conv results may differ across backends only by documented
 // rounding (FMA vs separate multiply+add, tile-width reduction order); the
 // backend-conformance kit (tests/tensor/backend_conformance_test.cpp)
@@ -175,26 +176,20 @@ class ComputeBackend {
 
   // ---- MMU int8 fast-fidelity datapath ------------------------------
 
-  /// out[i,j] = sum_p a[i,p] * w[p,j] with 32-bit wrap-around accumulation
-  /// (modular — bit-identical across backends), negated where
-  /// negate[i,j] != 0 (Σ(-p) == -(Σp) in two's complement). `negate` may
-  /// be null for the unlocked path.
-  virtual void matmul_i8(const std::int8_t* a, std::int64_t m,
-                         std::int64_t k, const std::int8_t* w, std::int64_t n,
-                         const std::uint8_t* negate,
-                         std::int32_t* out) const = 0;
-
   /// Lays out int8 weights for matmul_i8_prepared on this backend. Called
-  /// once per layer at model load; the result records this backend.
+  /// once per layer at model load (per call by hw::Mmu::matmul_i8); the
+  /// result records this backend.
   PreparedI8 prepare_i8(const std::int8_t* w, std::int64_t rows,
                         std::int64_t cols, PreparedI8::Side side) const;
 
-  /// The int8 GEMM against weights from this backend's prepare_i8, with
-  /// the same modular-accumulation and keyed-negation semantics as
-  /// matmul_i8 (bit-identical to it). `x` is the activation operand (see
-  /// I8Window), x.extent columns wide; `negate` is null or covers every
-  /// output. The default computes over `values` in axpy order, reading
-  /// each window row as one span, and is the scalar tier's kernel.
+  /// The int8 GEMM against weights from this backend's prepare_i8:
+  /// out = Σ products with 32-bit wrap-around accumulation (modular, so
+  /// bit-identical across backends), negated where the output's `negate`
+  /// byte is non-zero (Σ(-p) == -(Σp) in two's complement). `x` is the
+  /// activation operand (see I8Window), x.extent columns wide; `negate` is
+  /// null or covers every output. The default computes over `values` in
+  /// axpy order, reading each window row as one span, and is the scalar
+  /// tier's kernel.
   virtual void matmul_i8_prepared(const PreparedI8& w, const I8Window& x,
                                   const std::uint8_t* negate,
                                   std::int32_t* out) const;

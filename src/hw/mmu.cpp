@@ -59,23 +59,18 @@ void Mmu::matmul_i8(std::span<const std::int8_t> a, std::int64_t m,
                     std::int64_t k, std::span<const std::int8_t> w,
                     std::int64_t n, std::span<const std::uint8_t> negate,
                     std::span<std::int32_t> out) {
+  // Checked before `w` is laid out, which reads k * n bytes of it.
   check_operands(m, k, n, a.size(), w.size(), negate.size(), out.size());
   std::uint64_t locked = 0;
   for (const auto b : negate) {
     locked += (b != 0);
   }
-  if (fidelity_ == Fidelity::kBitAccurate) {
-    bit_accurate(a.data(), m, k, w.data(), n, negate, out);
-  } else {
-    // Fast-fidelity datapath: the active compute backend's int8 kernel.
-    // 32-bit wrap-around accumulation is modular arithmetic, so every
-    // backend (scalar, AVX2 widening, AVX-512 VNNI) produces identical
-    // bits — the conformance kit enforces this, not just the tolerance.
-    ops::backend().matmul_i8(a.data(), m, k, w.data(), n,
-                             negate.empty() ? nullptr : negate.data(),
-                             out.data());
-  }
-  finish(m, k, n, locked, out);
+  // The MMU has one datapath: lay the weights out for the active backend
+  // and run the prepared GEMM with the activations as its dense rows.
+  const core::PreparedI8 prepared = ops::backend().prepare_i8(
+      w.data(), k, n, core::PreparedI8::Side::kRight);
+  matmul_i8_prepared(prepared, core::I8Window{a.data(), a.size(), m}, negate,
+                     locked, out);
 }
 
 void Mmu::matmul_i8_prepared(const core::PreparedI8& w,

@@ -42,7 +42,8 @@ class Mmu {
   /// out[M*N] = a[M*K] @ w[K*N] in int8 -> int32, with optional key-driven
   /// negation: negate[i*N+j] != 0 means output element (i, j) is accumulated
   /// through a k=1 unit and yields -Σ a·w (two's-complement wrap semantics).
-  /// `negate` may be empty (all positive).
+  /// `negate` may be empty (all positive). Lays `w` out per call on the
+  /// active backend and runs matmul_i8_prepared, the MMU's one datapath.
   void matmul_i8(std::span<const std::int8_t> a, std::int64_t m,
                  std::int64_t k, std::span<const std::int8_t> w,
                  std::int64_t n, std::span<const std::uint8_t> negate,
@@ -55,9 +56,10 @@ class Mmu {
   /// matrix at x.data. Runs on the backend that prepared `w`, not the
   /// active one. `locked_outputs` is the number of non-zero bytes in
   /// `negate`, counted once when the key bits were expanded, so the
-  /// bookkeeping does not re-scan them per GEMM. Statistics, counters,
-  /// fault hooks and the gate-accurate path treat it exactly as matmul_i8
-  /// with the operands in that order.
+  /// bookkeeping does not re-scan them per GEMM. Statistics, counters and
+  /// fault hooks count it as the GEMM A[m, k] @ B[k, n] with the operands
+  /// in that order; the gate-accurate path computes that product through
+  /// the keyed accumulators instead of the backend.
   void matmul_i8_prepared(const core::PreparedI8& w, const core::I8Window& x,
                           std::span<const std::uint8_t> negate,
                           std::uint64_t locked_outputs,

@@ -188,8 +188,10 @@ void build_resnet18(Builder& b) {
     for (int block = 0; block < 2; ++block) {
       const std::int64_t stride = (block == 0) ? stage_stride[stage] : 1;
       const std::int64_t out_ch = stage_width[stage];
-      const std::string prefix =
-          "s" + std::to_string(stage + 1) + "b" + std::to_string(block + 1);
+      std::string prefix = "s";
+      prefix += std::to_string(stage + 1);
+      prefix += 'b';
+      prefix += std::to_string(block + 1);
 
       const std::int64_t in_ch = b.c;
       const std::int64_t in_h = b.h;

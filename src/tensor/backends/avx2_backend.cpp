@@ -180,46 +180,13 @@ __attribute__((target("avx2,fma"))) void lock_relu_grad_avx2(
   }
 }
 
-/// AVX2 int8 fast path: 16 output columns per stripe (two 8-lane int32
-/// accumulators), activations broadcast, weights widened int8 -> int32.
-/// add_epi32 wraps exactly like the scalar uint32 accumulation and the
-/// per-element product order is unchanged, so results are bit-identical to
-/// the scalar datapath.
-__attribute__((target("avx2"))) void matmul_i8_avx2(
-    const std::int8_t* a, std::int64_t m, std::int64_t k,
-    const std::int8_t* w, std::int64_t n, const std::uint8_t* negate,
-    std::int32_t* out) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    std::int64_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      for (std::int64_t p = 0; p < k; ++p) {
-        const __m256i av =
-            _mm256_set1_epi32(static_cast<std::int32_t>(a[i * k + p]));
-        const __m128i w16 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(w + p * n + j));
-        const __m256i w0 = _mm256_cvtepi8_epi32(w16);
-        const __m256i w1 = _mm256_cvtepi8_epi32(_mm_srli_si128(w16, 8));
-        acc0 = _mm256_add_epi32(acc0, _mm256_mullo_epi32(av, w0));
-        acc1 = _mm256_add_epi32(acc1, _mm256_mullo_epi32(av, w1));
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i * n + j), acc0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i * n + j + 8),
-                          acc1);
-    }
-    // Column remainder: identical scalar accumulation.
-    backends::matmul_i8_row_scalar(a, i, k, w, n, j, n, out);
-    backends::negate_cols(negate, i, n, 0, n, out);
-  }
-}
-
 // ---- prepared-weights int8 path ----------------------------------------
 // Weights arrive as int16 pairs along k (backends::pack_i16_pairs), so one
 // vpmaddwd multiplies two k steps and adds them into int32 lanes. The
 // products of int8 operands are at most 2^14 in magnitude, so the pairwise
 // sum never saturates and the int32 adds wrap exactly like the scalar
-// uint32 accumulation: the results are bit-identical to matmul_i8.
+// uint32 accumulation: the results are bit-identical to the scalar
+// reference (backends::matmul_i8_reference).
 
 constexpr std::int64_t kAvx2FilterBlock = 4;
 
@@ -465,7 +432,7 @@ class Avx2Backend final : public core::ComputeBackend {
   std::string name() const override { return "avx2"; }
   std::string description() const override {
     return "AVX2/FMA kernels: 6x16 GEMM microtile, 8-lane elementwise, "
-           "widening int8 MMU path";
+           "vpmaddwd int8 MMU path";
   }
   bool supported() const override {
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -503,13 +470,6 @@ class Avx2Backend final : public core::ComputeBackend {
   void lock_relu_grad(const float* g, const float* z, const float* lock,
                       float* gx, std::int64_t n) const override {
     lock_relu_grad_avx2(g, z, lock, gx, n);
-  }
-
-  void matmul_i8(const std::int8_t* a, std::int64_t m, std::int64_t k,
-                 const std::int8_t* w, std::int64_t n,
-                 const std::uint8_t* negate,
-                 std::int32_t* out) const override {
-    matmul_i8_avx2(a, m, k, w, n, negate, out);
   }
 
   void matmul_i8_prepared(const core::PreparedI8& w, const core::I8Window& x,

@@ -1,20 +1,10 @@
 // The AVX-512/VNNI tier: an 8 x 32 float microtile (16 zmm accumulators),
-// 16-lane elementwise ops, and a vpdpbusd int8 MMU datapath. Everything
-// is compiled behind per-function target attributes so one binary carries
-// this tier alongside the AVX2 and scalar ones; supported() gates
-// execution on the CPUID probes.
-//
-// Int8 exactness: vpdpbusd multiplies unsigned-by-signed bytes, so the
-// signed activations are biased by +128 (a XOR 0x80) before the dot and
-// the result is corrected by subtracting 128 * colsum(W) afterwards:
-//   sum(a * w) == sum((a + 128) * w) - 128 * sum(w)   (mod 2^32).
-// Every intermediate product (a+128)*w fits int16 (max |value| 32640),
-// vpdpbusd's int32 accumulation is non-saturating (modular), and the
-// correction is a modular subtraction — so the result is bit-identical to
-// the scalar uint32 wrap-around datapath, not approximately equal.
+// 16-lane elementwise ops, and a vpdpwssd int8 MMU datapath over prepared
+// weights. Everything is compiled behind per-function target attributes so
+// one binary carries this tier alongside the AVX2 and scalar ones;
+// supported() gates execution on the CPUID probes.
 #include <algorithm>
 
-#include "core/aligned_buffer.hpp"
 #include "tensor/backends/backends.hpp"
 #include "tensor/backends/micro_common.hpp"
 
@@ -203,87 +193,6 @@ HPNN_AVX512_TARGET void lock_relu_grad_avx512(const float* g, const float* z,
   }
   for (; i < n; ++i) {
     gx[i] = z[i] > 0.0f ? g[i] * lock[i] : 0.0f;
-  }
-}
-
-/// VNNI int8 datapath. W is repacked once per call into per-16-column
-/// stripes of [k/4][16 cols][4 k] bytes (zero-padded in k — a zero weight
-/// contributes zero to both the biased dot and the column sum, so padding
-/// is exact), the signed activations are biased to unsigned row by row,
-/// and the +128 bias is removed with one modular subtraction per output.
-HPNN_AVX512_TARGET void matmul_i8_avx512(const std::int8_t* a, std::int64_t m,
-                                         std::int64_t k, const std::int8_t* w,
-                                         std::int64_t n,
-                                         const std::uint8_t* negate,
-                                         std::int32_t* out) {
-  const std::int64_t stripes = n / 16;  // full 16-column stripes
-  const std::int64_t kq = (k + 3) / 4;  // k groups of 4, zero-padded
-  core::ScratchArena::Scope scope;
-  // Packed W: per stripe, kq groups of 64 bytes (16 cols x 4 k each).
-  std::int8_t* wp =
-      reinterpret_cast<std::int8_t*>(scope.bytes(
-          static_cast<std::size_t>(std::max<std::int64_t>(
-              stripes * kq * 64, 1))));
-  // Column sums for the bias correction, full stripes only.
-  std::int32_t* colsum = reinterpret_cast<std::int32_t*>(scope.bytes(
-      static_cast<std::size_t>(std::max<std::int64_t>(stripes * 16, 1)) *
-      sizeof(std::int32_t)));
-  // One row of biased activations, zero-padded to kq * 4.
-  std::uint8_t* au = reinterpret_cast<std::uint8_t*>(
-      scope.bytes(static_cast<std::size_t>(kq * 4)));
-
-  for (std::int64_t s = 0; s < stripes; ++s) {
-    const std::int64_t j0 = s * 16;
-    std::int8_t* sp = wp + s * kq * 64;
-    for (std::int64_t q = 0; q < kq; ++q) {
-      std::int8_t* gp = sp + q * 64;
-      for (std::int64_t c = 0; c < 16; ++c) {
-        for (std::int64_t r = 0; r < 4; ++r) {
-          const std::int64_t p = q * 4 + r;
-          gp[c * 4 + r] = p < k ? w[p * n + j0 + c] : 0;
-        }
-      }
-    }
-    for (std::int64_t c = 0; c < 16; ++c) {
-      std::int32_t sum = 0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        sum += static_cast<std::int32_t>(w[p * n + j0 + c]);
-      }
-      colsum[s * 16 + c] = sum;
-    }
-  }
-
-  for (std::int64_t i = 0; i < m; ++i) {
-    // Bias the row to unsigned: a + 128 == a XOR 0x80 in two's complement.
-    // Padded tail bytes multiply zero weights, so their value is free.
-    for (std::int64_t p = 0; p < k; ++p) {
-      au[p] = static_cast<std::uint8_t>(
-          static_cast<std::uint8_t>(a[i * k + p]) ^ 0x80u);
-    }
-    for (std::int64_t p = k; p < kq * 4; ++p) {
-      au[p] = 0;
-    }
-    for (std::int64_t s = 0; s < stripes; ++s) {
-      const std::int8_t* sp = wp + s * kq * 64;
-      __m512i acc = _mm512_setzero_si512();
-      for (std::int64_t q = 0; q < kq; ++q) {
-        std::uint32_t aword;
-        __builtin_memcpy(&aword, au + q * 4, 4);
-        const __m512i av = _mm512_set1_epi32(static_cast<std::int32_t>(aword));
-        const __m512i wv = _mm512_load_si512(
-            reinterpret_cast<const void*>(sp + q * 64));
-        acc = _mm512_dpbusd_epi32(acc, av, wv);
-      }
-      // Remove the +128 bias: subtract 128 * colsum (modular).
-      const __m512i cs = _mm512_load_si512(
-          reinterpret_cast<const void*>(colsum + s * 16));
-      acc = _mm512_sub_epi32(acc, _mm512_slli_epi32(cs, 7));
-      _mm512_storeu_si512(
-          reinterpret_cast<void*>(out + i * n + s * 16), acc);
-    }
-    // Column remainder: identical scalar accumulation.
-    backends::matmul_i8_row_scalar(a, i, k, w, n, stripes * 16, n, out);
-    backends::negate_cols(negate, i, n, 0, n, out);
   }
 }
 
@@ -553,7 +462,7 @@ class Avx512Backend final : public core::ComputeBackend {
   std::string name() const override { return "avx512"; }
   std::string description() const override {
     return "AVX-512/VNNI kernels: 8x32 GEMM microtile, 16-lane elementwise, "
-           "vpdpbusd int8 MMU path";
+           "vpdpwssd int8 MMU path";
   }
   bool supported() const override {
     return __builtin_cpu_supports("avx512f") &&
@@ -594,13 +503,6 @@ class Avx512Backend final : public core::ComputeBackend {
   void lock_relu_grad(const float* g, const float* z, const float* lock,
                       float* gx, std::int64_t n) const override {
     lock_relu_grad_avx512(g, z, lock, gx, n);
-  }
-
-  void matmul_i8(const std::int8_t* a, std::int64_t m, std::int64_t k,
-                 const std::int8_t* w, std::int64_t n,
-                 const std::uint8_t* negate,
-                 std::int32_t* out) const override {
-    matmul_i8_avx512(a, m, k, w, n, negate, out);
   }
 
   void matmul_i8_prepared(const core::PreparedI8& w, const core::I8Window& x,

@@ -17,16 +17,15 @@ namespace hpnn::ops {
 std::unique_ptr<core::ComputeBackend> make_scalar_backend();
 
 #if defined(HPNN_SIMD_AVX2) && defined(__x86_64__)
-/// AVX2/FMA tier: 6x16 float microtile, 8-lane elementwise ops, widening
+/// AVX2/FMA tier: 6x16 float microtile, 8-lane elementwise ops, vpmaddwd
 /// int8 MMU path. Supported when CPUID reports avx2+fma.
 std::unique_ptr<core::ComputeBackend> make_avx2_backend();
 #endif
 
 #if defined(HPNN_SIMD_AVX512) && defined(__x86_64__)
 /// AVX-512/VNNI tier: 8x32 float microtile, 16-lane elementwise ops, and a
-/// vpdpbusd int8 MMU path (bit-identical to the scalar datapath — see the
-/// unsigned-bias compensation note in avx512_backend.cpp). Supported when
-/// CPUID reports avx512f+avx512bw+avx512vl+avx512vnni.
+/// vpdpwssd int8 MMU path. Supported when CPUID reports
+/// avx512f+avx512bw+avx512vl+avx512vnni.
 std::unique_ptr<core::ComputeBackend> make_avx512_backend();
 #endif
 

@@ -1,7 +1,8 @@
 // Helpers shared by the backend microkernel implementations: the edge-tile
 // merge (beta policy applied once at store time) and the scalar int8
 // datapath, which the SIMD tiers reuse for remainder columns so every
-// element follows the same modular-accumulation semantics.
+// element follows the same modular-accumulation semantics, and which the
+// conformance tests run whole as the int8 reference.
 #pragma once
 
 #include <cstdint>
@@ -111,6 +112,19 @@ inline void negate_cols(const std::uint8_t* negate, std::int64_t i,
       out[i * n + j] = static_cast<std::int32_t>(
           0u - static_cast<std::uint32_t>(out[i * n + j]));
     }
+  }
+}
+
+/// The scalar int8 reference: out = A[m, k] @ W[k, n] with keyed negation
+/// (`negate` null or m * n bytes). Every tier's prepared kernel is tested
+/// bit for bit against this triple loop.
+inline void matmul_i8_reference(const std::int8_t* a, std::int64_t m,
+                                std::int64_t k, const std::int8_t* w,
+                                std::int64_t n, const std::uint8_t* negate,
+                                std::int32_t* out) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    matmul_i8_row_scalar(a, i, k, w, n, 0, n, out);
+    negate_cols(negate, i, n, 0, n, out);
   }
 }
 

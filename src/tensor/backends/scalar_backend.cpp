@@ -92,16 +92,6 @@ class ScalarBackend final : public core::ComputeBackend {
       gx[i] = z[i] > 0.0f ? g[i] * lock[i] : 0.0f;
     }
   }
-
-  void matmul_i8(const std::int8_t* a, std::int64_t m, std::int64_t k,
-                 const std::int8_t* w, std::int64_t n,
-                 const std::uint8_t* negate,
-                 std::int32_t* out) const override {
-    for (std::int64_t i = 0; i < m; ++i) {
-      backends::matmul_i8_row_scalar(a, i, k, w, n, 0, n, out);
-      backends::negate_cols(negate, i, n, 0, n, out);
-    }
-  }
 };
 
 }  // namespace

@@ -503,6 +503,45 @@ TEST(CliTest, ServeCommandsRejectOptionsTheyDoNotRead) {
                 out),
             0)
       << out;
+
+  // Every other command fails closed as well, before it writes a file or
+  // trains. The commands that read an artifact get a real one.
+  const std::string dir = ::testing::TempDir();
+  const std::string key(64, 'a');
+  const std::string model = dir + "/cli_unread.hpnn";
+  const auto with_data = [](std::vector<std::string> cmd) {
+    cmd.insert(cmd.end(), {"--dataset", "fashion", "--img", "12", "--tpc",
+                           "2", "--testpc", "1"});
+    return cmd;
+  };
+  ASSERT_EQ(run(with_data({"train", "--arch", "MLP", "--key", key, "--out",
+                           model, "--epochs", "1"}),
+                out),
+            0)
+      << out;
+  const std::string never = dir + "/cli_unread_never";
+  const std::vector<std::vector<std::string>> commands = {
+      {"keygen", "--seed", "3"},
+      with_data({"dataset", "--out", never}),
+      {"zoo", "--zoo", never},
+      {"provision", "--model", model, "--key", key, "--model-id", "m"},
+      with_data({"train", "--arch", "MLP", "--key", key, "--out", never}),
+      with_data({"eval", "--model", model, "--key", key}),
+      with_data({"attack", "--model", model}),
+      with_data({"defend-bench", "--json-out", "-"}),
+      {"inspect", "--model", model},
+      {"backends"},
+      {"overhead", "--dim", "8"},
+      with_data({"fault-campaign", "--model", model, "--key", key}),
+  };
+  for (auto cmd : commands) {
+    cmd.insert(cmd.end(), {"--no-such-flag", "7"});
+    EXPECT_EQ(run(cmd, out), 2) << cmd[0] << ": " << out;
+    EXPECT_NE(out.find("--no-such-flag"), std::string::npos)
+        << cmd[0] << ": " << out;
+  }
+  EXPECT_FALSE(std::filesystem::exists(never));
+  EXPECT_FALSE(std::filesystem::exists(never + ".train.hpds"));
 }
 
 }  // namespace

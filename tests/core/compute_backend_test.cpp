@@ -46,9 +46,6 @@ class FakeBackend : public ComputeBackend {
   }
   void lock_relu_grad(const float*, const float*, const float*, float*,
                       std::int64_t) const override {}
-  void matmul_i8(const std::int8_t*, std::int64_t, std::int64_t,
-                 const std::int8_t*, std::int64_t, const std::uint8_t*,
-                 std::int32_t*) const override {}
 
  private:
   std::string name_;

@@ -224,9 +224,10 @@ TEST(ServeDaemonTest, ShedsAtHighWatermarkWithHonoredRetryAfterHints) {
   std::uint64_t first_hint = 0;
   std::vector<std::shared_ptr<PendingRequest>> accepted;
   for (int i = 0; i < 10; ++i) {
+    std::string tenant = "t";
+    tenant += std::to_string(i % 3);
     try {
-      accepted.push_back(h.daemon->submit_async(
-          "t" + std::to_string(i % 3), h.batch(i, /*n=*/2)));
+      accepted.push_back(h.daemon->submit_async(tenant, h.batch(i, /*n=*/2)));
       ++admitted;
     } catch (const AdmissionRejectedError& e) {
       first_hint = e.retry_after_us();

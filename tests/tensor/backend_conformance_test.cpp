@@ -22,7 +22,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <span>
 #include <utility>
 #include <sstream>
 #include <string>
@@ -35,7 +37,9 @@
 #include "hpnn/calibration.hpp"
 #include "hpnn/owner.hpp"
 #include "hw/device.hpp"
+#include "hw/mmu.hpp"
 #include "tensor/backend.hpp"
+#include "tensor/backends/micro_common.hpp"
 #include "tensor/ops.hpp"
 
 namespace hpnn {
@@ -230,65 +234,6 @@ TEST_P(BackendConformanceTest, LockedReluGradBitExact) {
   }
 }
 
-// ---- int8 MMU datapath: bit-identical across all backends --------------
-
-TEST_P(BackendConformanceTest, MatmulI8BitIdenticalToScalar) {
-  const core::ComputeBackend& scalar = *ops::find_backend("scalar");
-  const core::ComputeBackend& be = *ops::find_backend(GetParam());
-  struct Case {
-    std::int64_t m, k, n;
-  };
-  // Odd n exercises the SIMD stripe remainder; k=1 and the INT8_MIN-heavy
-  // fill exercise the VNNI bias-correction identity at its extremes.
-  for (const Case& c : {Case{1, 1, 1}, Case{3, 7, 5}, Case{5, 37, 19},
-                        Case{4, 64, 32}, Case{2, 9, 33}, Case{6, 128, 65}}) {
-    const std::int64_t asz = c.m * c.k, wsz = c.k * c.n, osz = c.m * c.n;
-    std::vector<std::int8_t> a(asz), w(wsz);
-    std::vector<std::uint8_t> negate(osz);
-    Rng rng(83 + static_cast<std::uint64_t>(c.m * 1000 + c.n));
-    for (auto& v : a) {
-      v = static_cast<std::int8_t>(rng() & 0xFF);  // full range incl. -128
-    }
-    for (auto& v : w) {
-      v = static_cast<std::int8_t>(rng() & 0xFF);
-    }
-    for (auto& v : negate) {
-      v = static_cast<std::uint8_t>(rng() & 1);
-    }
-    std::vector<std::int32_t> want(osz), got(osz);
-
-    scalar.matmul_i8(a.data(), c.m, c.k, w.data(), c.n, nullptr, want.data());
-    be.matmul_i8(a.data(), c.m, c.k, w.data(), c.n, nullptr, got.data());
-    ASSERT_EQ(0,
-              std::memcmp(got.data(), want.data(), sizeof(std::int32_t) * osz))
-        << "matmul_i8 (unlocked) " << c.m << "x" << c.k << "x" << c.n;
-
-    scalar.matmul_i8(a.data(), c.m, c.k, w.data(), c.n, negate.data(),
-                     want.data());
-    be.matmul_i8(a.data(), c.m, c.k, w.data(), c.n, negate.data(),
-                 got.data());
-    ASSERT_EQ(0,
-              std::memcmp(got.data(), want.data(), sizeof(std::int32_t) * osz))
-        << "matmul_i8 (keyed negation) " << c.m << "x" << c.k << "x" << c.n;
-  }
-}
-
-TEST_P(BackendConformanceTest, MatmulI8SaturatedOperandsBitIdentical) {
-  // All-(-128) activations against all-(+127) weights maximize the VNNI
-  // unsigned-bias correction: any off-by-one in the 128·colsum term shows
-  // up immediately.
-  const core::ComputeBackend& scalar = *ops::find_backend("scalar");
-  const core::ComputeBackend& be = *ops::find_backend(GetParam());
-  const std::int64_t m = 2, k = 300, n = 17;
-  std::vector<std::int8_t> a(m * k, -128), w(k * n, 127);
-  std::vector<std::int32_t> want(m * n), got(m * n);
-  scalar.matmul_i8(a.data(), m, k, w.data(), n, nullptr, want.data());
-  be.matmul_i8(a.data(), m, k, w.data(), n, nullptr, got.data());
-  EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
-                           sizeof(std::int32_t) * static_cast<std::size_t>(
-                                                      m * n)));
-}
-
 // ---- prepared-weights int8 GEMM, quantizer and drain -------------------
 
 std::vector<std::int8_t> random_i8(std::int64_t count, Rng& rng) {
@@ -325,44 +270,108 @@ std::vector<std::int32_t> scalar_product(const std::vector<std::int8_t>& a,
                                          std::int64_t n,
                                          const std::uint8_t* negate) {
   std::vector<std::int32_t> out(static_cast<std::size_t>(m * n));
-  ops::find_backend("scalar")->matmul_i8(a.data(), m, k, b.data(), n, negate,
-                                         out.data());
+  ops::backends::matmul_i8_reference(a.data(), m, k, b.data(), n, negate,
+                                     out.data());
   return out;
 }
 
+/// Negate bytes for `count` outputs; any non-zero byte means "negate", not
+/// only 1.
+std::vector<std::uint8_t> random_negate(std::int64_t count, Rng& rng) {
+  std::vector<std::uint8_t> negate(static_cast<std::size_t>(count));
+  for (auto& v : negate) {
+    const auto r = rng() % 4;
+    v = r == 0 ? 0 : r == 1 ? 1 : r == 2 ? 0x80 : 0xFF;
+  }
+  return negate;
+}
+
+/// hw::Mmu::matmul_i8 with `backend` active: the per-call weight layout
+/// and the prepared kernel, the MMU's one fast datapath.
+std::vector<std::int32_t> mmu_product(const std::string& backend,
+                                      const std::vector<std::int8_t>& a,
+                                      const std::vector<std::int8_t>& b,
+                                      std::int64_t m, std::int64_t k,
+                                      std::int64_t n,
+                                      std::span<const std::uint8_t> negate) {
+  ops::set_backend(backend);
+  hw::Mmu mmu;
+  std::vector<std::int32_t> out(static_cast<std::size_t>(m * n));
+  mmu.matmul_i8(a, m, k, b, n, negate, out);
+  return out;
+}
+
+struct GemmDims {
+  std::int64_t m, k, n;
+};
+
+/// m x k x n shapes for both int8 entry points: odd n exercises the SIMD
+/// column tails, k = 1 and odd k the zero-padded final weight pair.
+constexpr GemmDims kListedShapes[] = {{1, 1, 1},  {3, 7, 5},   {5, 37, 19},
+                                      {4, 64, 32}, {2, 9, 33}, {6, 128, 65}};
+
 constexpr core::PreparedI8::Side kSides[] = {core::PreparedI8::Side::kLeft,
                                              core::PreparedI8::Side::kRight};
+
+TEST_P(BackendConformanceTest, MatmulI8BitIdenticalToScalar) {
+  // hw::Mmu::matmul_i8 on each backend.
+  for (const auto& [m, k, n] : kListedShapes) {
+    Rng rng(83 + static_cast<std::uint64_t>(m * 1000 + n));
+    const auto a = random_i8(m * k, rng);
+    const auto b = random_i8(k * n, rng);
+    const auto negate = random_negate(m * n, rng);
+    const std::string what =
+        std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
+    ASSERT_EQ(mmu_product(GetParam(), a, b, m, k, n, {}),
+              scalar_product(a, b, m, k, n, nullptr))
+        << what << " unlocked";
+    ASSERT_EQ(mmu_product(GetParam(), a, b, m, k, n, negate),
+              scalar_product(a, b, m, k, n, negate.data()))
+        << what << " keyed negation";
+  }
+}
+
+TEST_P(BackendConformanceTest, MatmulI8SaturatedOperandsBitIdentical) {
+  // hw::Mmu::matmul_i8 on each backend with all-(-128) activations against
+  // all-(+127) weights: the largest magnitude int16 pair sums the SIMD
+  // tiers form with these signs.
+  const std::int64_t m = 2, k = 300, n = 17;
+  const std::vector<std::int8_t> a(m * k, -128), b(k * n, 127);
+  EXPECT_EQ(mmu_product(GetParam(), a, b, m, k, n, {}),
+            scalar_product(a, b, m, k, n, nullptr));
+}
 
 TEST_P(BackendConformanceTest, MatmulI8PreparedBitIdenticalToScalar) {
   const core::ComputeBackend& be = *ops::find_backend(GetParam());
   // Odd k exercises the zero-padded final weight pair; n in {1, 15, 17,
   // 1023} the 8/16/32-column tiles and their scalar tails; m = 5, 9, 13
-  // leaves a partial filter block on every tier.
-  for (const auto side : kSides) {
-    for (const std::int64_t m : {1, 5, 9, 13}) {
-      for (const std::int64_t k : {1, 3, 27, 37}) {
-        for (const std::int64_t n : {1, 15, 17, 1023}) {
-          Rng rng(static_cast<std::uint64_t>(m * 100000 + k * 1000 + n));
-          const auto a = random_i8(m * k, rng);
-          const auto b = random_i8(k * n, rng);
-          std::vector<std::uint8_t> negate(static_cast<std::size_t>(m * n));
-          for (auto& v : negate) {
-            // Any non-zero byte means "negate", not only 1.
-            const auto r = rng() % 4;
-            v = r == 0 ? 0 : r == 1 ? 1 : r == 2 ? 0x80 : 0xFF;
-          }
-          const std::string what = std::string(side == kSides[0] ? "left"
-                                                                 : "right") +
-                                   " " + std::to_string(m) + "x" +
-                                   std::to_string(k) + "x" + std::to_string(n);
-          ASSERT_EQ(prepared_product(be, side, a, b, m, k, n, nullptr),
-                    scalar_product(a, b, m, k, n, nullptr))
-              << what << " unlocked";
-          ASSERT_EQ(prepared_product(be, side, a, b, m, k, n, negate.data()),
-                    scalar_product(a, b, m, k, n, negate.data()))
-              << what << " keyed negation";
-        }
+  // leaves a partial filter block on every tier. The listed shapes add
+  // k = 64 and 128 and n = 5, 19, 32, 33 and 65.
+  std::vector<GemmDims> shapes(std::begin(kListedShapes),
+                               std::end(kListedShapes));
+  for (const std::int64_t m : {1, 5, 9, 13}) {
+    for (const std::int64_t k : {1, 3, 27, 37}) {
+      for (const std::int64_t n : {1, 15, 17, 1023}) {
+        shapes.push_back({m, k, n});
       }
+    }
+  }
+  for (const auto side : kSides) {
+    for (const auto& [m, k, n] : shapes) {
+      Rng rng(static_cast<std::uint64_t>(m * 100000 + k * 1000 + n));
+      const auto a = random_i8(m * k, rng);
+      const auto b = random_i8(k * n, rng);
+      const auto negate = random_negate(m * n, rng);
+      const std::string what =
+          std::string(side == kSides[0] ? "left" : "right") + " " +
+          std::to_string(m) + "x" + std::to_string(k) + "x" +
+          std::to_string(n);
+      ASSERT_EQ(prepared_product(be, side, a, b, m, k, n, nullptr),
+                scalar_product(a, b, m, k, n, nullptr))
+          << what << " unlocked";
+      ASSERT_EQ(prepared_product(be, side, a, b, m, k, n, negate.data()),
+                scalar_product(a, b, m, k, n, negate.data()))
+          << what << " keyed negation";
     }
   }
 }

@@ -16,6 +16,7 @@
 #include "core/compute_backend.hpp"
 #include "core/rng.hpp"
 #include "tensor/backend.hpp"
+#include "tensor/backends/micro_common.hpp"
 #include "tensor/ops.hpp"
 
 namespace hpnn {
@@ -152,11 +153,11 @@ struct ConvOperands {
             g.in_w + 2 * g.padding};
   }
 
-  /// The scalar reference: matmul_i8 on the im2col matrix.
+  /// The scalar reference on the im2col matrix.
   std::vector<std::int32_t> reference(const std::uint8_t* neg) const {
     std::vector<std::int32_t> out(static_cast<std::size_t>(filters * n));
-    ops::find_backend("scalar")->matmul_i8(weights.data(), filters, ckk,
-                                           cols.data(), n, neg, out.data());
+    ops::backends::matmul_i8_reference(weights.data(), filters, ckk,
+                                       cols.data(), n, neg, out.data());
     return out;
   }
 };

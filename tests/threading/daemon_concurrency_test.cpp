@@ -238,11 +238,12 @@ TEST(DaemonConcurrencyTest, DrainWhileProducersRacingTheClosedDoor) {
   std::vector<std::thread> producers;
   for (int p = 0; p < 3; ++p) {
     producers.emplace_back([&, p] {
+      std::string tenant = "t";
+      tenant += std::to_string(p);
       for (int i = 0; i < 8; ++i) {
         try {
           (void)h.daemon->submit(
-              "t" + std::to_string(p),
-              h.batch(static_cast<std::uint64_t>(p * 50 + i)));
+              tenant, h.batch(static_cast<std::uint64_t>(p * 50 + i)));
           resolved.fetch_add(1);
         } catch (const Error&) {
           turned_away.fetch_add(1);
