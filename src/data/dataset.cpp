@@ -98,10 +98,17 @@ Dataset load_dataset(std::istream& is) {
   Dataset d;
   d.name = r.read_string();
   d.num_classes = r.read_i64();
-  const Shape shape{r.read_i64_vector()};
+  // Untrusted extents: check them before they reach Shape, which treats
+  // a bad rank or a negative extent as a programmer error.
+  const std::vector<std::int64_t> dims = r.read_i64_vector();
+  if (dims.size() != 4 ||
+      std::any_of(dims.begin(), dims.end(),
+                  [](std::int64_t d) { return d < 0; })) {
+    throw SerializationError("corrupt dataset image tensor");
+  }
+  const Shape shape{dims};
   auto values = r.read_f32_vector();
-  if (shape.rank() != 4 ||
-      static_cast<std::int64_t>(values.size()) != shape.numel()) {
+  if (static_cast<std::int64_t>(values.size()) != shape.numel()) {
     throw SerializationError("corrupt dataset image tensor");
   }
   d.images = Tensor(shape, std::move(values));

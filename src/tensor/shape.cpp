@@ -1,20 +1,28 @@
 #include "tensor/shape.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/error.hpp"
 
 namespace hpnn {
 
-Shape::Shape(std::initializer_list<std::int64_t> dims) : dims_(dims) {
-  for (const auto d : dims_) {
-    HPNN_CHECK(d >= 0, "shape dims must be non-negative, got " + to_string());
-  }
+Shape::Shape(std::initializer_list<std::int64_t> dims) {
+  assign(dims.begin(), dims.size());
 }
 
-Shape::Shape(std::vector<std::int64_t> dims) : dims_(std::move(dims)) {
-  for (const auto d : dims_) {
-    HPNN_CHECK(d >= 0, "shape dims must be non-negative, got " + to_string());
+Shape::Shape(std::vector<std::int64_t> dims) {
+  assign(dims.data(), dims.size());
+}
+
+void Shape::assign(const std::int64_t* dims, std::size_t rank) {
+  HPNN_CHECK(rank <= kMaxRank, "shape rank " + std::to_string(rank) +
+                                   " exceeds " + std::to_string(kMaxRank));
+  std::copy(dims, dims + rank, dims_.begin());
+  rank_ = rank;
+  for (std::size_t i = 0; i < rank_; ++i) {
+    HPNN_CHECK(dims_[i] >= 0,
+               "shape dims must be non-negative, got " + to_string());
   }
 }
 
@@ -31,8 +39,8 @@ std::int64_t Shape::dim(std::int64_t i) const {
 
 std::int64_t Shape::numel() const {
   std::int64_t n = 1;
-  for (const auto d : dims_) {
-    n *= d;
+  for (std::size_t i = 0; i < rank_; ++i) {
+    n *= dims_[i];
   }
   return n;
 }
@@ -48,7 +56,7 @@ std::vector<std::int64_t> Shape::strides() const {
 std::string Shape::to_string() const {
   std::ostringstream os;
   os << '[';
-  for (std::size_t i = 0; i < dims_.size(); ++i) {
+  for (std::size_t i = 0; i < rank_; ++i) {
     if (i > 0) {
       os << ", ";
     }
