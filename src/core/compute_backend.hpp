@@ -206,9 +206,18 @@ class ComputeBackend {
   /// a fused multiply-add. Not virtual: it is O(outputs) next to an
   /// O(outputs * k) GEMM, so every tier runs this one loop, built for the
   /// baseline ISA (no FMA to contract into), and agrees bit for bit.
-  void drain_i32(const std::int32_t* acc, std::int64_t n,
-                         float scale, const float* sign_bias, bool relu,
-                         float* y) const;
+  void drain_i32(const std::int32_t* acc, std::int64_t n, float scale,
+                 const float* sign_bias, bool relu, float* y) const;
+
+  /// The requantizing drain, for an activation that stays int8 because
+  /// the next MAC layer has a static scale: q[i] is what quantize_i8 with
+  /// `inv_scale` makes of drain_i32's y[i], bit for bit, in one pass.
+  /// Since quantize_i8 maps NaN and -0 to 0, the ReLU is the clamp's lower
+  /// bound (0 instead of -127). Branch-free in the data; the default is
+  /// the scalar reference.
+  virtual void drain_i8(const std::int32_t* acc, std::int64_t n, float scale,
+                        const float* sign_bias, bool relu, float inv_scale,
+                        std::int8_t* q) const;
 
  protected:
   /// Fills `w.packed` for this backend's matmul_i8_prepared; the default

@@ -497,6 +497,128 @@ TEST_P(BackendConformanceTest, DrainI32BitIdenticalToScalarWithoutFma) {
   }
 }
 
+/// The requantizing drain's reference: scalar drain_i32, then scalar
+/// quantize_i8 of its output.
+std::vector<std::int8_t> drain_then_quantize(
+    const std::vector<std::int32_t>& acc, float scale,
+    const std::vector<float>& bias, bool relu, float inv_scale) {
+  const core::ComputeBackend& scalar = *ops::find_backend("scalar");
+  const auto n = static_cast<std::int64_t>(acc.size());
+  std::vector<float> y(acc.size());
+  scalar.drain_i32(acc.data(), n, scale, bias.data(), relu, y.data());
+  std::vector<std::int8_t> q(acc.size());
+  scalar.quantize_i8(y.data(), n, inv_scale, q.data());
+  return q;
+}
+
+std::vector<std::int8_t> drain_i8(const core::ComputeBackend& be,
+                                  const std::vector<std::int32_t>& acc,
+                                  float scale, const std::vector<float>& bias,
+                                  bool relu, float inv_scale) {
+  // Poisoned so a lane the kernel skips shows.
+  std::vector<std::int8_t> q(acc.size(), std::int8_t{99});
+  be.drain_i8(acc.data(), static_cast<std::int64_t>(acc.size()), scale,
+              bias.data(), relu, inv_scale, q.data());
+  return q;
+}
+
+TEST_P(BackendConformanceTest, DrainI8BitIdenticalToDrainThenQuantize) {
+  const core::ComputeBackend& be = *ops::find_backend(GetParam());
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  // scale 0.5 and inverse 1 put every odd accumulator exactly on a .5
+  // tie (ties round to even); |acc| >= 254 saturates at ±127.
+  const std::vector<std::int32_t> pinned_acc = {
+      1,   3,    5,    7,    -1,   -3,    -5,   -7,  253,  254,
+      255, 1000, -253, -254, -255, -1000, kMin, kMax, 0,   2};
+  const std::vector<int> pinned_plain = {0,   2,    2,    4,    0,    -2,  -2,
+                                         -4,  126,  127,  127,  127,  -126,
+                                         -127, -127, -127, -127, 127, 0,   1};
+  const std::vector<float> zero_bias(pinned_acc.size(), 0.0f);
+  for (const bool relu : {false, true}) {
+    const auto got = drain_i8(be, pinned_acc, 0.5f, zero_bias, relu, 1.0f);
+    for (std::size_t i = 0; i < pinned_acc.size(); ++i) {
+      const int want = relu ? std::max(pinned_plain[i], 0) : pinned_plain[i];
+      EXPECT_EQ(got[i], want)
+          << "acc " << pinned_acc[i] << " relu " << relu;
+    }
+    EXPECT_EQ(got,
+              drain_then_quantize(pinned_acc, 0.5f, zero_bias, relu, 1.0f));
+  }
+  // A fused multiply-add would keep 3 * fl(1/3) - 1 = 2^-25, which the
+  // inverse scale 2^25 turns into 1; the separate multiply and add give 0.
+  {
+    const std::vector<std::int32_t> acc(64, 3);
+    const std::vector<float> bias(64, -1.0f);
+    for (const std::int8_t q :
+         drain_i8(be, acc, 1.0f / 3.0f, bias, false, 33554432.0f)) {
+      ASSERT_EQ(q, 0) << "drain contracted into a fused multiply-add";
+    }
+  }
+  // Every length through the SIMD bodies and tails, with random and
+  // extreme accumulators, -0 and NaN biases, and ReLU on and off.
+  Rng rng(227);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (std::int64_t n = 0; n <= 70; ++n) {
+    std::vector<std::int32_t> acc(static_cast<std::size_t>(n));
+    std::vector<float> bias(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+      acc[i] = static_cast<std::int32_t>(rng()) >> (i % 24);
+      bias[i] = static_cast<float>(rng.normal(0.0, 2.0));
+    }
+    for (std::size_t i = 0; i < acc.size(); i += 5) {
+      acc[i] = pinned_acc[i % pinned_acc.size()];
+    }
+    if (n > 2) {
+      bias[1] = -0.0f;
+      acc[1] = 0;
+      bias[2] = nan;
+    }
+    for (const float scale : {0.0123f, 1e-6f, 3e30f}) {
+      for (const float inv : {1.0f / 0.037f, 0.5f, 1e-12f}) {
+        for (const bool relu : {false, true}) {
+          ASSERT_EQ(drain_i8(be, acc, scale, bias, relu, inv),
+                    drain_then_quantize(acc, scale, bias, relu, inv))
+              << "n=" << n << " scale=" << scale << " inv=" << inv
+              << " relu=" << relu;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(BackendConformanceTest, DrainI8CommutesWithMaxForNonNanValues) {
+  // The device max-pools int8 activations: max(q(a), q(b)) == q(max(a, b))
+  // holds because quantize_i8 is monotone on every value except NaN, which
+  // it maps to 0. A drain value is float(acc) * scale + bias with a finite
+  // scale and bias (artifacts carrying anything else are rejected at
+  // load), so it is never NaN: at worst it overflows to ±inf.
+  const core::ComputeBackend& be = *ops::find_backend(GetParam());
+  Rng rng(229);
+  const std::int64_t n = 67;
+  std::vector<std::int32_t> acc(n);
+  std::vector<float> bias(n);
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    acc[i] = static_cast<std::int32_t>(rng()) >> (i % 31);
+    bias[i] = static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  acc[0] = std::numeric_limits<std::int32_t>::max();
+  acc[1] = std::numeric_limits<std::int32_t>::min();
+  for (const float scale : {0.01f, 3e30f}) {
+    std::vector<float> y(acc.size());
+    be.drain_i32(acc.data(), n, scale, bias.data(), true, y.data());
+    const auto q = drain_i8(be, acc, scale, bias, true, 1.0f / 0.05f);
+    for (std::int64_t i = 0; i + 1 < n; ++i) {
+      ASSERT_FALSE(std::isnan(y[i]));
+      const float top = std::max(y[i], y[i + 1]);
+      std::int8_t want = 0;
+      be.quantize_i8(&top, 1, 1.0f / 0.05f, &want);
+      ASSERT_EQ(std::max(q[i], q[i + 1]), want)
+          << "scale " << scale << " at " << i;
+    }
+  }
+}
+
 // ---- convolution through the shared blocking ---------------------------
 
 TEST_P(BackendConformanceTest, ConvForwardBackwardMatchScalar) {
