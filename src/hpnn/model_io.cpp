@@ -1,6 +1,7 @@
 #include "hpnn/model_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -188,7 +189,7 @@ SchemeFields read_scheme_fields(BinaryReader& r) {
 
 void check_scales(std::span<const float> scales) {
   for (const float s : scales) {
-    if (!(s > 0.0f)) {
+    if (!(s > 0.0f) || !std::isfinite(s)) {
       throw SerializationError("corrupt activation scale in artifact");
     }
   }

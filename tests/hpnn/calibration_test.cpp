@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "core/error.hpp"
@@ -85,6 +86,18 @@ TEST(CalibrationTest, ScalesSurviveArtifactRoundTrip) {
   ASSERT_EQ(artifact.activation_scales.size(), scales.size());
   for (std::size_t i = 0; i < scales.size(); ++i) {
     EXPECT_FLOAT_EQ(artifact.activation_scales[i], scales[i]);
+  }
+}
+
+TEST(CalibrationTest, NonFiniteScalesFailClosedOnRead) {
+  // An infinite scale used to pass the positive-scale check: the next
+  // layer's input then quantized to zeros and its drain computed 0 * inf.
+  TestSetup s = make_setup(models::Architecture::kCnn1);
+  for (const float bad : {std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    std::stringstream ss;
+    publish_model(ss, *s.model, {0.5f, bad, 0.25f});
+    EXPECT_THROW(read_published_model(ss), SerializationError) << bad;
   }
 }
 

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/error.hpp"
+#include "hpnn/calibration.hpp"
 #include "hpnn/owner.hpp"
 #include "tensor/ops.hpp"
 
@@ -287,6 +290,96 @@ INSTANTIATE_TEST_SUITE_P(AllArchitectures, DeviceArchTest,
                          [](const auto& info) {
                            return models::arch_name(info.param);
                          });
+
+// ---- non-finite artifact numbers fail closed ---------------------------
+
+/// One artifact field a hostile or corrupt artifact can make non-finite.
+struct NonFiniteCase {
+  const char* name;
+  models::Architecture arch;
+  /// Suffix of the parameter or buffer to poison; empty: activation scale 1.
+  const char* tensor;
+  float value;
+};
+
+void PrintTo(const NonFiniteCase& c, std::ostream* os) { *os << c.name; }
+
+class DeviceNonFiniteArtifactTest
+    : public ::testing::TestWithParam<NonFiniteCase> {};
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, DeviceNonFiniteArtifactTest,
+    ::testing::Values(
+        NonFiniteCase{"StaticScale", models::Architecture::kCnn3, "", kInf},
+        NonFiniteCase{"ConvWeight", models::Architecture::kCnn3,
+                      "conv2.weight", kNan},
+        NonFiniteCase{"LinearWeight", models::Architecture::kCnn3,
+                      "fc1.weight", -kInf},
+        NonFiniteCase{"Bias", models::Architecture::kCnn3, "conv1.bias",
+                      kNan},
+        NonFiniteCase{"BatchNormGamma", models::Architecture::kResNet18,
+                      "bn1.gamma", kInf},
+        NonFiniteCase{"BatchNormBeta", models::Architecture::kResNet18,
+                      "bn2.beta", kNan},
+        NonFiniteCase{"BatchNormRunningMean", models::Architecture::kResNet18,
+                      "running_mean", kInf},
+        NonFiniteCase{"BatchNormRunningVar", models::Architecture::kResNet18,
+                      "running_var", kNan}),
+    [](const ::testing::TestParamInfo<NonFiniteCase>& info) {
+      return std::string(info.param.name);
+    });
+
+/// Sets element 0 of the first tensor whose name ends with `suffix`;
+/// returns whether one did.
+bool poison(std::vector<obf::PublishedModel::NamedTensor>& tensors,
+            const std::string& suffix, float value) {
+  for (auto& t : tensors) {
+    if (t.name.size() >= suffix.size() &&
+        t.name.compare(t.name.size() - suffix.size(), suffix.size(),
+                       suffix) == 0) {
+      t.value.data()[0] = value;
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST_P(DeviceNonFiniteArtifactTest, RejectedAndPreviousPlanKeepsServing) {
+  const NonFiniteCase& c = GetParam();
+  models::ModelConfig cfg;
+  cfg.in_channels = 3;
+  cfg.image_size = 16;
+  cfg.init_seed = 5;
+  cfg.width_mult =
+      c.arch == models::Architecture::kResNet18 ? 0.125 : 0.5;
+  auto s = make_published(c.arch, cfg, 47);
+  Rng rng(12);
+  const Tensor x = Tensor::normal(Shape{2, 3, 16, 16}, rng, 0.0f, 0.25f);
+  s.artifact.activation_scales = obf::calibrate_activation_scales(
+      *s.owner_model, Tensor::normal(Shape{4, 3, 16, 16}, rng, 0.0f, 0.25f));
+
+  obf::PublishedModel bad = s.artifact;
+  if (std::string(c.tensor).empty()) {
+    bad.activation_scales[1] = c.value;
+  } else {
+    ASSERT_TRUE(poison(bad.parameters, c.tensor, c.value) ||
+                poison(bad.buffers, c.tensor, c.value))
+        << "no tensor named *" << c.tensor;
+  }
+
+  TrustedDevice device(s.key, s.schedule_seed);
+  device.load_model(s.artifact);
+  const Tensor want = device.infer(x);
+  EXPECT_THROW(device.load_model(bad), SerializationError);
+  const Tensor got = device.infer(x);
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    EXPECT_EQ(got.data()[i], want.data()[i]) << "logit " << i;
+  }
+}
 
 }  // namespace
 }  // namespace hpnn::hw
