@@ -69,9 +69,10 @@ TEST(DeviceRecoveryTest, MidBatchFaultLeavesCursorsClean) {
   TrustedDevice device(f.key, f.schedule_seed);
   device.load_model(f.artifact);
 
-  // Corrupt the second MAC layer's static-scale register to zero: the first
-  // MAC runs fine, then the second trips the scale invariant and the
-  // inference unwinds mid-batch.
+  // Corrupt the second MAC layer's static-scale register to zero: it is
+  // first read by the first MAC layer, whose drain requantizes with it, so
+  // the scale invariant trips inside the first MAC op and the inference
+  // unwinds mid-batch.
   FaultPlan plan;
   plan.scale_relative_error = -1.0;
   plan.scale_layers = {1};
