@@ -45,8 +45,8 @@ int main() {
   scenario.daemon.queue.max_queue_wait_us = 20'000;
   scenario.daemon.admission.high_watermark = 48;
   scenario.daemon.admission.low_watermark = 24;
-  scenario.daemon.sim_service_base_us = 400;
-  scenario.daemon.sim_service_per_row_us = 100;
+  scenario.daemon.sim_service_base_us = 55;
+  scenario.daemon.sim_service_per_row_us = 42;
 
   const double cap = serve::sustainable_qps(scenario);
   std::printf("service model: %llu + %llu us/row, %lld-row batches -> "

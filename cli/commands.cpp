@@ -637,8 +637,9 @@ serve::VerifyMode verify_from_name(const std::string& name) {
 }
 
 /// Shared daemon/load knobs for serve, serve-load and serve-sim
-/// --offered-qps mode. Defaults model a device sustaining ~6.6k rows/s
-/// (400us + 100us/row, 8-row batches).
+/// --offered-qps mode. The service model's defaults (55us + 42us/row, so
+/// ~20k rows/s in 8-row batches) are fitted to perfbench's traced
+/// witness-verified service times (bench/README.md).
 serve::LoadScenario load_scenario_from_args(const Args& args) {
   serve::LoadScenario scenario;
   scenario.offered_qps = args.get_double("offered-qps", 4'000.0);
@@ -675,9 +676,9 @@ serve::LoadScenario load_scenario_from_args(const Args& args) {
   scenario.daemon.sessions.capacity =
       static_cast<std::size_t>(args.get_int("session-capacity", 64));
   scenario.daemon.sim_service_base_us =
-      static_cast<std::uint64_t>(args.get_int("service-base-us", 400));
+      static_cast<std::uint64_t>(args.get_int("service-base-us", 55));
   scenario.daemon.sim_service_per_row_us =
-      static_cast<std::uint64_t>(args.get_int("service-per-row-us", 100));
+      static_cast<std::uint64_t>(args.get_int("service-per-row-us", 42));
   return scenario;
 }
 

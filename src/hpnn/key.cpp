@@ -42,8 +42,13 @@ HpnnKey HpnnKey::from_hex(const std::string& hex) {
 }
 
 std::string HpnnKey::to_hex() const {
-  static const char* kDigits = "0123456789abcdef";
   std::string out(kBits / 4, '0');
+  write_hex(std::span<char, kBits / 4>(out.data(), kBits / 4));
+  return out;
+}
+
+void HpnnKey::write_hex(std::span<char, kBits / 4> out) const {
+  static const char* kDigits = "0123456789abcdef";
   for (std::size_t w = 0; w < 4; ++w) {
     const std::uint64_t value = words_[3 - w];
     for (std::size_t d = 0; d < 16; ++d) {
@@ -51,7 +56,6 @@ std::string HpnnKey::to_hex() const {
           kDigits[(value >> (4 * (15 - d))) & 0xF];
     }
   }
-  return out;
 }
 
 bool HpnnKey::bit(std::size_t i) const {

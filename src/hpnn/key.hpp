@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "core/rng.hpp"
@@ -29,6 +30,8 @@ class HpnnKey {
 
   /// 64 lowercase hex digits, most-significant word first.
   std::string to_hex() const;
+  /// The same digits into a caller's buffer (no allocation).
+  void write_hex(std::span<char, kBits / 4> out) const;
 
   bool bit(std::size_t i) const;
   void set_bit(std::size_t i, bool v);

@@ -1,5 +1,11 @@
 #include "hw/secure_memory.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <span>
+#include <string_view>
+
 #include "core/error.hpp"
 
 namespace hpnn::hw {
@@ -19,12 +25,33 @@ void SecureKeyStore::provision(const obf::HpnnKey& key,
   digest_ = compute_digest();
 }
 
-Sha256Digest SecureKeyStore::compute_digest() const {
+Sha256Digest keystore_digest(const obf::HpnnKey& key,
+                             std::uint64_t schedule_seed,
+                             obf::SchedulePolicy policy) {
   // Domain-separated digest over everything the datapath derives from:
   // the key words, the schedule seed and the tiling policy.
-  return Sha256::hash("hpnn-keystore-v1:" + key_.to_hex() + ":" +
-                      std::to_string(scheduler_->seed()) + ":" +
-                      std::to_string(static_cast<int>(scheduler_->policy())));
+  static constexpr std::string_view kDomain = "hpnn-keystore-v1:";
+  constexpr std::size_t kHex = obf::HpnnKey::kBits / 4;
+  // Room for the domain, the hex key, two separators, a 20-digit seed
+  // and a signed int.
+  std::array<char, 128> message;
+  static_assert(kDomain.size() + kHex + 2 + 20 + 11 <= message.size());
+  char* out = std::copy(kDomain.begin(), kDomain.end(), message.data());
+  key.write_hex(std::span<char, kHex>(out, kHex));
+  out += kHex;
+  *out++ = ':';
+  char* const end = message.data() + message.size();
+  // Leave the separator and the policy their room after the seed.
+  out = std::to_chars(out, end - 12, schedule_seed).ptr;
+  *out++ = ':';
+  out = std::to_chars(out, end, static_cast<int>(policy)).ptr;
+  return Sha256::hash(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(message.data()),
+      static_cast<std::size_t>(out - message.data())));
+}
+
+Sha256Digest SecureKeyStore::compute_digest() const {
+  return keystore_digest(key_, scheduler_->seed(), scheduler_->policy());
 }
 
 bool SecureKeyStore::integrity_ok() const {

@@ -18,6 +18,13 @@ namespace hpnn::hw {
 class TrustedDevice;
 class FaultInjector;
 
+/// The key store's integrity digest: SHA-256 over the domain-separated
+/// message "hpnn-keystore-v1:<key hex>:<seed>:<policy>" (decimal seed and
+/// policy), built in a stack buffer so the check allocates nothing.
+Sha256Digest keystore_digest(const obf::HpnnKey& key,
+                             std::uint64_t schedule_seed,
+                             obf::SchedulePolicy policy);
+
 class SecureKeyStore {
  public:
   SecureKeyStore() = default;

@@ -194,7 +194,10 @@ std::size_t ServeDaemon::run_batch(
   for (const auto& request : batch) {
     rows += request->rows();
   }
-  const Tensor images = coalesce(batch);
+  // A lone request is served from its own tensor; only a batch of several
+  // is copied into one.
+  const Tensor coalesced = batch.size() > 1 ? coalesce(batch) : Tensor();
+  const Tensor& images = batch.size() > 1 ? coalesced : batch.front()->images();
 
   std::uint64_t sim_base = 0;
   std::uint64_t sim_per_row = 0;

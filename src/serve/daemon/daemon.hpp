@@ -70,9 +70,10 @@ struct DaemonStats {
 
 class ServeDaemon {
  public:
-  /// Observes every coalesced batch after the supervisor served it:
-  /// (coalesced images, supervisor result, the batched requests in row
-  /// order). Tests hang the reference-device oracle here.
+  /// Observes every batch after the supervisor served it: (the served
+  /// images — a lone request's own tensor, else the coalesced copy — the
+  /// supervisor result, the batched requests in row order). Tests hang
+  /// the reference-device oracle here.
   using BatchObserver = std::function<void(
       const Tensor&, const RequestResult&,
       const std::vector<std::shared_ptr<PendingRequest>>&)>;

@@ -1,5 +1,6 @@
 #include "serve/supervisor.hpp"
 
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -30,6 +31,30 @@ std::string replica_tag(std::size_t index) {
   return "replica " + std::to_string(index);
 }
 
+/// Records how a witness join went: the caller took the job back, or it
+/// waited for the lane since `joined_at`. Both measure how the OS
+/// scheduled the lane, not the work done, so they stay out of the
+/// deterministic snapshot (DESIGN.md §9).
+void observe_witness_join(bool ran_inline,
+                          std::chrono::steady_clock::time_point joined_at) {
+  if (!metrics::enabled()) {
+    return;
+  }
+  auto& registry = metrics::MetricsRegistry::instance();
+  if (ran_inline) {
+    static metrics::Counter& inline_runs = registry.counter(
+        "serve.witness.ran_inline", metrics::Determinism::kSchedulingDependent);
+    inline_runs.add(1);
+    return;
+  }
+  static metrics::Histogram& wait_us = registry.histogram(
+      "serve.witness.wait_us", {}, metrics::Determinism::kSchedulingDependent);
+  wait_us.observe(static_cast<double>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - joined_at)
+          .count()));
+}
+
 }  // namespace
 
 bool bitwise_equal(const Tensor& a, const Tensor& b) {
@@ -51,7 +76,8 @@ ServingSupervisor::ServingSupervisor(const obf::HpnnKey& master_key,
       pool_(master_key, model_id, artifact, std::move(challenge),
             PoolConfig{config_.replicas, config_.device, config_.breaker},
             *clock_, config_.provision),
-      backoff_rng_(config_.backoff_seed) {
+      backoff_rng_(config_.backoff_seed),
+      lanes_(config_.replicas) {
   HPNN_CHECK(config_.retry.max_attempts >= 1,
              "retry policy must allow at least one attempt");
 }
@@ -198,10 +224,39 @@ ServingSupervisor::Attempt ServingSupervisor::try_once(const Tensor& images) {
   }
 }
 
+DevicePool::Lease ServingSupervisor::lease_witness(std::size_t primary) {
+  for (std::size_t guard = 0; guard < pool_.size(); ++guard) {
+    DevicePool::Lease witness = pool_.acquire_witness(primary);
+    if (!witness.valid() || witness.device->key_store().integrity_ok()) {
+      return witness;
+    }
+    pool_.quarantine(witness.index);  // not offered again
+  }
+  return {};
+}
+
 ServingSupervisor::Attempt ServingSupervisor::run_verified(
     DevicePool::Lease& primary, const Tensor& images) {
   Attempt result;
   result.replica = primary.index;
+
+  // kWitness: lease a second replica whose key store is intact before the
+  // primary runs, and hand its inference to a lane so the two devices run
+  // side by side. The lease and the result are declared before the job, so
+  // they outlive it: an early return or a throw below finishes the job
+  // first (its answer is then discarded). A posted witness thus always
+  // runs exactly once, and every replica's fault draws follow the request
+  // sequence, not the lane's timing.
+  DevicePool::Lease witness;
+  if (config_.verify == VerifyMode::kWitness) {
+    witness = lease_witness(primary.index);
+  }
+  Tensor witness_logits;
+  auto run_witness = [&] { witness_logits = witness.device->infer(images); };
+  ExecutionLanes::Job witness_job(run_witness);
+  if (witness.valid()) {
+    lanes_.post(witness_job);
+  }
 
   Tensor logits = primary.device->infer(images);
 
@@ -228,19 +283,6 @@ ServingSupervisor::Attempt ServingSupervisor::run_verified(
     return digest_check(primary, std::move(logits), images);
   }
 
-  // kWitness: find a second replica whose key store is intact.
-  DevicePool::Lease witness;
-  for (std::size_t guard = 0; guard < pool_.size(); ++guard) {
-    witness = pool_.acquire_witness(primary.index);
-    if (!witness.valid()) {
-      break;
-    }
-    if (witness.device->key_store().integrity_ok()) {
-      break;
-    }
-    pool_.quarantine(witness.index);
-    witness = {};  // quarantined replicas are not offered again
-  }
   if (!witness.valid()) {
     // Single healthy replica (or all peers busy): degrade to the digest
     // self-witness (itself degrading to an echo when no digest exists).
@@ -248,9 +290,10 @@ ServingSupervisor::Attempt ServingSupervisor::run_verified(
   }
 
   HPNN_METRIC_COUNT("serve.witness.runs", 1);
-  Tensor witness_logits;
+  const auto joined_at = std::chrono::steady_clock::now();
+  observe_witness_join(lanes_.finish(witness_job), joined_at);
   try {
-    witness_logits = witness.device->infer(images);
+    witness_job.rethrow_error();
   } catch (const KeyError&) {
     pool_.quarantine(witness.index);
     witness = {};

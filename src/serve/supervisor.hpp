@@ -6,7 +6,8 @@
 // turns per-device failures into pool-level resilience:
 //
 //   request -> [maintenance sweep] -> deadline check -> select replica
-//           -> integrity pre-check -> infer -> integrity post-check
+//           -> integrity pre-check -> [lease witness, post its infer to a
+//              lane] -> infer -> integrity post-check
 //           -> verify (echo / witness + attestation arbitration)
 //           -> success, or: quarantine/penalize, seeded backoff, retry.
 //
@@ -16,7 +17,9 @@
 // and replaying the artifact's attestation challenge on both identifies
 // which. Deterministic datapath corruption (e.g. a stuck quantization-scale
 // register) survives an echo on the same device but cannot survive a
-// witness — which is why kWitness is the default.
+// witness — which is why kWitness is the default. The witness runs side by
+// side with the primary on one of the supervisor's execution lanes; every
+// decision taken after both finish is the serial protocol's.
 //
 // Every run is reproducible: backoff jitter comes from a seeded Rng, and
 // all timing flows through the injected Clock (SimulatedClock in tests and
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "serve/lanes.hpp"
 #include "serve/policy.hpp"
 #include "serve/pool.hpp"
 
@@ -109,6 +113,9 @@ class ServingSupervisor {
 
   Attempt try_once(const Tensor& images);
   Attempt run_verified(DevicePool::Lease& primary, const Tensor& images);
+  /// Leases a witness for `primary` whose key store is intact,
+  /// quarantining peers that fail the check; invalid when none is free.
+  DevicePool::Lease lease_witness(std::size_t primary);
   Attempt echo_check(DevicePool::Lease& primary, Tensor logits,
                      const Tensor& images);
   Attempt digest_check(DevicePool::Lease& primary, Tensor logits,
@@ -121,6 +128,9 @@ class ServingSupervisor {
   DevicePool pool_;
   std::mutex backoff_mutex_;
   Rng backoff_rng_;
+  // Runs witness inferences. A request holds at most one witness job and
+  // each holds a replica lease, so one lane per replica is the ceiling.
+  ExecutionLanes lanes_;
 };
 
 /// True when two logit tensors are bit-identical (shape and every float's

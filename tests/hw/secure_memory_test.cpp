@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/error.hpp"
 #include "hw/device.hpp"
 #include "hw/fault.hpp"
@@ -85,6 +87,39 @@ TEST(SecureKeyStoreTest, IntegrityDigestDetectsTampering) {
 
   EXPECT_FALSE(store.integrity_ok());
   EXPECT_THROW(store.check_integrity(), KeyError);
+}
+
+TEST(SecureKeyStoreTest, DigestMatchesTheStringBuiltMessage) {
+  // The stack-buffer digest hashes exactly the bytes of the original
+  // string-built message, for extreme seeds and both policies.
+  Rng rng(5);
+  const std::uint64_t seeds[] = {0, 1, 21, ~std::uint64_t{0}, rng(), rng()};
+  for (const std::uint64_t seed : seeds) {
+    for (const auto policy : {obf::SchedulePolicy::kInterleaved,
+                              obf::SchedulePolicy::kBlocked}) {
+      const obf::HpnnKey key = obf::HpnnKey::random(rng);
+      const std::string message =
+          "hpnn-keystore-v1:" + key.to_hex() + ":" + std::to_string(seed) +
+          ":" + std::to_string(static_cast<int>(policy));
+      EXPECT_EQ(keystore_digest(key, seed, policy), Sha256::hash(message))
+          << "seed " << seed;
+    }
+  }
+}
+
+TEST(SecureKeyStoreTest, EveryFlippedKeyWordFailsTheIntegrityCheck) {
+  for (const std::size_t bit : {0, 63, 64, 150, 200, 255}) {
+    SecureKeyStore store;
+    store.provision(some_key(), 21, obf::SchedulePolicy::kBlocked);
+    store.seal();
+    ASSERT_TRUE(store.integrity_ok());
+
+    FaultPlan plan;
+    plan.key_bits = {bit};
+    FaultInjector injector{plan};
+    injector.apply_key_faults(store);
+    EXPECT_FALSE(store.integrity_ok()) << "bit " << bit;
+  }
 }
 
 TEST(SecureKeyStoreTest, DeviceSealsOnConstruction) {

@@ -1,11 +1,14 @@
 // ServingSupervisor behavior on a simulated clock: happy-path bitwise
 // stability, the exact analytic recovery trace for key-store SEUs, witness
-// arbitration of datapath faults, and every degradation/exhaustion path of
-// the serving error taxonomy.
+// arbitration of datapath faults, the overlapped witness (a fault on either
+// side of the overlap follows the serial protocol's trace), and every
+// degradation/exhaustion path of the serving error taxonomy.
 #include "serve/supervisor.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "core/metrics.hpp"
 #include "core/threadpool.hpp"
 #include "hw/fault.hpp"
+#include "hpnn/attestation.hpp"
 #include "hpnn/keychain.hpp"
 #include "serve/chaos.hpp"
 
@@ -25,6 +29,41 @@ std::uint64_t counter_value(const char* name) {
     return 0;
   }
   return metrics::MetricsRegistry::instance().counter(name).value();
+}
+
+/// The chaos bundle with MAC layer 0 on a static scale: the probes' own
+/// dynamic scale, so attestation agrees as before, and the golden digest
+/// (when recorded) re-taken. A static-scale register is what a scale fault
+/// can zero, which trips the device's positive-scale invariant mid-run.
+ChaosModelBundle static_scale_bundle(bool with_logit_digest) {
+  ChaosModelBundle bundle = make_chaos_model(
+      /*seed=*/33, /*num_probes=*/16, /*min_agreement=*/0.6,
+      with_logit_digest);
+  const Tensor& probes = bundle.challenge.probes;
+  float max_abs = 0.0f;
+  for (std::int64_t i = 0; i < probes.numel(); ++i) {
+    max_abs = std::max(max_abs, std::abs(probes.data()[i]));
+  }
+  bundle.artifact.activation_scales = {max_abs / 127.0f};
+  if (with_logit_digest) {
+    hw::TrustedDevice golden(
+        obf::derive_model_key(bundle.master, bundle.model_id),
+        obf::derive_schedule_seed(bundle.master, bundle.model_id));
+    golden.load_model(bundle.artifact);
+    bundle.challenge.logit_digest_hex =
+        obf::logit_digest_hex(golden.infer(probes));
+  }
+  return bundle;
+}
+
+/// Zeroes MAC layer 0's static-scale register: every inference on the
+/// faulted device throws InvariantError at its first layer.
+std::vector<ChaosReplicaPlan> zeroed_scale_on(std::size_t replica) {
+  std::vector<ChaosReplicaPlan> plans(replica + 1);
+  plans[replica].initial = hw::FaultPlan{};
+  plans[replica].initial->scale_relative_error = -1.0;
+  plans[replica].initial->scale_layers = {0};
+  return plans;
 }
 
 /// Builds a supervisor over the deterministic chaos model bundle, wiring
@@ -191,6 +230,110 @@ TEST(SupervisorTest, WitnessArbitratesDeterministicDatapathFault) {
   if (metrics::enabled()) {
     EXPECT_EQ(counter_value("serve.witness.mismatches"), 1u);
     EXPECT_EQ(counter_value("serve.attempt_fail.mismatch"), 1u);
+  }
+}
+
+TEST(SupervisorTest, PrimaryFaultWithWitnessInFlightFollowsTheSerialTrace) {
+  // Replica 0 throws at its first layer. Attempt 1: primary 0, witness 1
+  // already posted; the primary's throw discards the witness's answer,
+  // penalizes replica 0 and releases both leases. Attempt 2: primary 1,
+  // witness 0, which throws on its side of the overlap: replica 0 is
+  // penalized again and the request falls back to the digest check (an
+  // echo here: the bundle records no digest). Every counter and pool
+  // transition is the serial protocol's, whichever thread ran the witness.
+  Harness h;
+  h.bundle = static_scale_bundle(/*with_logit_digest=*/false);
+  SupervisorConfig config;
+  config.replicas = 2;
+  config.retry.jitter = 0.0;
+  h.start(config, zeroed_scale_on(0));
+
+  const Tensor images = h.batch(21);
+  const RequestResult result = h.supervisor->submit(images);
+  EXPECT_EQ(result.attempts, 2);
+  EXPECT_EQ(result.replica, 1u);
+  EXPECT_TRUE(bitwise_equal(result.logits, h.reference->infer(images)));
+
+  const PoolStats stats = h.supervisor->pool().stats();
+  EXPECT_EQ(stats.quarantines, 0u);
+  EXPECT_EQ(stats.breaker_trips, 0u);  // two failures, below the threshold
+  EXPECT_EQ(stats.probes, 0u);
+  EXPECT_EQ(stats.reprovisions, 0u);
+  EXPECT_EQ(h.supervisor->pool().admitting_count(), 2u);
+  // No lease leaked: both replicas are free again.
+  for (std::size_t other : {0u, 1u}) {
+    const DevicePool::Lease lease =
+        h.supervisor->pool().acquire_witness(other);
+    EXPECT_TRUE(lease.valid()) << "replica " << 1 - other << " still leased";
+  }
+  if (metrics::enabled()) {
+    EXPECT_EQ(counter_value("serve.attempts"), 2u);
+    EXPECT_EQ(counter_value("serve.retries"), 1u);
+    EXPECT_EQ(counter_value("serve.attempt_fail.error"), 1u);
+    EXPECT_EQ(counter_value("serve.witness.runs"), 1u);
+    EXPECT_EQ(counter_value("serve.witness.mismatches"), 0u);
+    EXPECT_EQ(counter_value("serve.echo.runs"), 1u);
+    EXPECT_EQ(counter_value("serve.success"), 1u);
+  }
+}
+
+TEST(SupervisorTest, WitnessFaultMidRunFallsBackToTheDigestCheck) {
+  // The witness (replica 1) throws while the primary's answer is good:
+  // the witness is penalized, and the primary's answer is verified by its
+  // golden-digest replay instead, in the same attempt.
+  Harness h;
+  h.bundle = static_scale_bundle(/*with_logit_digest=*/true);
+  SupervisorConfig config;
+  config.replicas = 2;
+  h.start(config, zeroed_scale_on(1));
+
+  const Tensor images = h.batch(23);
+  const RequestResult result = h.supervisor->submit(images);
+  EXPECT_EQ(result.attempts, 1);
+  EXPECT_EQ(result.replica, 0u);
+  EXPECT_TRUE(bitwise_equal(result.logits, h.reference->infer(images)));
+
+  const PoolStats stats = h.supervisor->pool().stats();
+  EXPECT_EQ(stats.quarantines, 0u);
+  EXPECT_EQ(stats.breaker_trips, 0u);
+  if (metrics::enabled()) {
+    EXPECT_EQ(counter_value("serve.witness.runs"), 1u);
+    EXPECT_EQ(counter_value("serve.digest.runs"), 1u);
+    EXPECT_EQ(counter_value("serve.digest.mismatches"), 0u);
+    EXPECT_EQ(counter_value("serve.attempt_fail.error"), 0u);
+  }
+}
+
+TEST(SupervisorTest, LaneAndCallerWitnessRunsServeTheSameAnswers) {
+  // Whether a lane ran the witness or the caller took it back is up to the
+  // OS; the answer, the pool's books and the deterministic counters are
+  // not. Every witness join is accounted to exactly one of the two paths.
+  Harness h;
+  SupervisorConfig config;
+  config.replicas = 3;
+  h.start(config);
+
+  constexpr int kRequests = 24;
+  for (int r = 0; r < kRequests; ++r) {
+    const Tensor images = h.batch(300 + static_cast<std::uint64_t>(r),
+                                  1 + r % 4);
+    const RequestResult result = h.supervisor->submit(images);
+    EXPECT_EQ(result.attempts, 1) << "request " << r;
+    EXPECT_TRUE(bitwise_equal(result.logits, h.reference->infer(images)))
+        << "request " << r;
+  }
+  const PoolStats stats = h.supervisor->pool().stats();
+  EXPECT_EQ(stats.quarantines, 0u);
+  EXPECT_EQ(stats.breaker_trips, 0u);
+  EXPECT_EQ(stats.probes, 0u);
+  if (metrics::enabled()) {
+    auto& registry = metrics::MetricsRegistry::instance();
+    EXPECT_EQ(counter_value("serve.witness.runs"),
+              static_cast<std::uint64_t>(kRequests));
+    EXPECT_EQ(counter_value("serve.witness.mismatches"), 0u);
+    EXPECT_EQ(registry.counter("serve.witness.ran_inline").value() +
+                  registry.histogram("serve.witness.wait_us").count(),
+              static_cast<std::uint64_t>(kRequests));
   }
 }
 
