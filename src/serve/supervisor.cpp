@@ -292,12 +292,12 @@ ServingSupervisor::Attempt ServingSupervisor::run_verified(
   HPNN_METRIC_COUNT("serve.witness.runs", 1);
   const auto joined_at = std::chrono::steady_clock::now();
   observe_witness_join(lanes_.finish(witness_job), joined_at);
+  // A KeyError is an Error like any other here: TrustedDevice::infer does
+  // not check key-store integrity, lease_witness checked the witness's
+  // before it ran, and a key that flips during the run shows as a logit
+  // mismatch, which the attestation arbitration below settles.
   try {
     witness_job.rethrow_error();
-  } catch (const KeyError&) {
-    pool_.quarantine(witness.index);
-    witness = {};
-    return digest_check(primary, std::move(logits), images);
   } catch (const ShapeError&) {
     throw;
   } catch (const Error&) {

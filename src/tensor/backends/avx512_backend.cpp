@@ -1,10 +1,14 @@
 // The AVX-512/VNNI tier: an 8 x 32 float microtile (16 zmm accumulators),
-// 16-lane elementwise ops, and a vpdpwssd int8 MMU datapath over prepared
-// weights. Everything is compiled behind per-function target attributes so
-// one binary carries this tier alongside the AVX2 and scalar ones;
-// supported() gates execution on the CPUID probes.
+// 16-lane elementwise ops, and an int8 MMU datapath over prepared weights
+// (vpdpbusd for convolutions, vpdpwssd for linear layers). Everything is
+// compiled behind per-function target attributes so one binary carries
+// this tier alongside the AVX2 and scalar ones; supported() gates
+// execution on the CPUID probes.
 #include <algorithm>
+#include <array>
+#include <utility>
 
+#include "core/aligned_buffer.hpp"
 #include "tensor/backends/backends.hpp"
 #include "tensor/backends/micro_common.hpp"
 
@@ -22,6 +26,9 @@
 
 #define HPNN_AVX512_TARGET \
   __attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni")))
+// The int8 kernels' building blocks, inlined even into large callers.
+#define HPNN_AVX512_INLINE \
+  HPNN_AVX512_TARGET inline __attribute__((always_inline))
 
 namespace hpnn::ops {
 
@@ -197,39 +204,47 @@ HPNN_AVX512_TARGET void lock_relu_grad_avx512(const float* g, const float* z,
 }
 
 // ---- prepared-weights int8 path ----------------------------------------
-// The AVX2 tier's layout and loop structure (int16 weight pairs along k,
-// see backends::pack_i16_pairs) at 16 int32 lanes, with VNNI's vpdpwssd
-// fusing the pairwise multiply and the accumulate. vpdpwssd does not
-// saturate and int8 products cannot overflow a pair sum, so the int32
-// accumulation wraps exactly like the scalar datapath.
+// kLeft (the trusted device's convolutions): u8 x s8 vpdpbusd, four k rows
+// per instruction. An activation byte a XORed with 0x80 is a + 128 as u8,
+// so every product over-counts by 128 * w; pack_u8_quads stores that
+// excess per filter and the store subtracts it before the keyed negation.
+// vpdpbusd does not saturate, so the int32 accumulation wraps exactly like
+// the scalar datapath. kRight keeps the AVX2 tier's int16 pairs along k
+// (backends::pack_i16_pairs) with vpdpwssd.
 
-constexpr std::int64_t kAvx512FilterBlock = 8;
+constexpr std::int64_t kQuadPanelCols = 32;  // two vectors of 16 lanes
+constexpr int kMaxFilterBlock = 12;          // 24 accumulators
 
-/// 16 int8 values of rows a and b interleaved into 16 int16 pairs.
-HPNN_AVX512_TARGET inline __m512i pairs16(__m128i a, __m128i b) {
-  const __m256i ab = _mm256_inserti128_si256(
-      _mm256_castsi128_si256(_mm_unpacklo_epi8(a, b)),
-      _mm_unpackhi_epi8(a, b), 1);
-  return _mm512_cvtepi8_epi16(ab);
-}
-
-/// Stores 16 accumulators, negating the lanes whose negate byte is set.
-HPNN_AVX512_TARGET inline void store16(__m512i acc,
-                                       const std::uint8_t* negate,
-                                       std::int32_t* out) {
-  if (negate != nullptr) {
-    const __m512i nv = _mm512_cvtepu8_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(negate)));
-    acc = _mm512_mask_sub_epi32(acc, _mm512_test_epi32_mask(nv, nv),
-                                _mm512_setzero_si512(), acc);
+/// The kLeft layout: k zero-padded to a multiple of four, kq = k / 4 quads.
+/// Word [q * rows + r] holds w[r][4q .. 4q + 3], row 4q in byte 0, so a
+/// filter block broadcasts consecutive words. Word [kq * rows + r] is the
+/// correction 128 * Σ_p w[r][p] mod 2^32. A padded row's zero weight
+/// cancels whatever byte the activation quad holds there.
+void pack_u8_quads(core::PreparedI8& w) {
+  const std::int64_t rows = w.rows;
+  const std::int64_t k = w.cols;
+  const std::int64_t kq = (k + 3) / 4;
+  w.packed.assign(static_cast<std::size_t>((kq + 1) * rows), 0);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int8_t* wr = w.values.data() + r * k;
+    std::uint32_t sum = 0;
+    for (std::int64_t p = 0; p < k; ++p) {
+      const auto byte = static_cast<std::uint32_t>(
+          static_cast<std::uint8_t>(wr[p]));
+      auto& word = w.packed[static_cast<std::size_t>((p / 4) * rows + r)];
+      word = static_cast<std::int32_t>(static_cast<std::uint32_t>(word) |
+                                       (byte << (8 * (p % 4))));
+      sum += static_cast<std::uint32_t>(static_cast<std::int32_t>(wr[p]));
+    }
+    w.packed[static_cast<std::size_t>(kq * rows + r)] =
+        static_cast<std::int32_t>(sum * 128u);
   }
-  _mm512_storeu_si512(reinterpret_cast<void*>(out), acc);
 }
 
 /// How 16 consecutive window columns are read from one window row: as
 /// `runs` pieces, piece s a masked byte load at the row's base + shift[s]
-/// whose lanes `mask[s]` it fills. A vector inside one run is a single
-/// full load. Every shift is >= 0, and the masked lanes are never
+/// whose lanes `mask[s]` it fills. A full vector inside one run is a
+/// single full load. Every shift is >= 0, and the masked lanes are never
 /// touched, so no byte outside the window is read.
 struct Window16 {
   int runs = 0;
@@ -237,26 +252,28 @@ struct Window16 {
   __mmask16 mask[16] = {};
 };
 
-/// Plans the 16 columns from `at`; returns their run count.
-inline int plan_window16(const core::I8Window& x, backends::WindowCursor at,
-                         Window16& v) {
+/// Plans the first `cols` (0-16) of the 16 columns from `at`, leaving the
+/// rest unread, and advances `at` past them. Returns the run count, or 0
+/// when the vector is partial (then only the masked loads may read it).
+inline int plan_window16(const core::I8Window& x, backends::WindowCursor& at,
+                         std::int64_t cols, Window16& v) {
   v.runs = 0;
-  for (std::int64_t c = 0; c < 16;) {
-    const std::int64_t len = std::min(x.width - at.col, 16 - c);
+  for (std::int64_t c = 0; c < cols;) {
+    const std::int64_t len = std::min(x.width - at.col, cols - c);
     v.shift[v.runs] = at.rel(x) - c;
     v.mask[v.runs] = static_cast<__mmask16>(((1u << len) - 1u) << c);
     ++v.runs;
     c += len;
     at.advance(x, len);
   }
-  return v.runs;
+  return cols == 16 ? v.runs : 0;
 }
 
 /// The 16 bytes of one window row at the columns `v` plans; RUNS is the
 /// run count when the caller knows it (1 or 2), else 0.
 template <int RUNS>
-HPNN_AVX512_TARGET inline __m128i load_window16(const std::int8_t* row,
-                                                const Window16& v) {
+HPNN_AVX512_INLINE __m128i load_window16(const std::int8_t* row,
+                                         const Window16& v) {
   if constexpr (RUNS == 1) {
     return _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + v.shift[0]));
   } else {
@@ -269,99 +286,206 @@ HPNN_AVX512_TARGET inline __m128i load_window16(const std::int8_t* row,
   }
 }
 
-/// FB filters x (16 * NV) columns of out = W @ X starting at column j, X
-/// read through the window with the vectors `vec` plans.
-template <int FB, int NV, int RUNS>
-HPNN_AVX512_TARGET void left_tile_avx512(const std::int32_t* wp,
-                                         std::int64_t kp,
-                                         const core::I8Window& x,
-                                         std::int64_t k, const Window16* vec,
-                                         std::int64_t j,
-                                         const std::uint8_t* negate,
-                                         std::int32_t* out) {
-  const std::int64_t n = x.extent;
-  __m512i acc[FB][NV];
-  for (int r = 0; r < FB; ++r) {
-    for (int v = 0; v < NV; ++v) {
-      acc[r][v] = _mm512_setzero_si512();
-    }
+/// Quad row l of window rows p, p + 1, ... (`offsets` from p): the 16
+/// bytes at the columns `v` plans, or zero bytes for a row past k.
+template <int RUNS>
+HPNN_AVX512_INLINE __m128i quad_row(const std::int8_t* data,
+                                    const std::int64_t* offsets, int l,
+                                    int live, const Window16& v) {
+  return l < live ? load_window16<RUNS>(data + offsets[l], v)
+                  : _mm_setzero_si128();
+}
+
+/// Window rows p .. p + live - 1 (zero bytes for the rest of the quad) at
+/// the columns `v` plans, as the vpdpbusd u8 operand: lane c holds the four
+/// rows' bytes of column c, row p first, each XORed with 0x80. The rows
+/// are inserted one per 128-bit lane, a dword permute gathers each lane's
+/// four columns, and a byte shuffle transposes each 4 x 4 block.
+template <int RUNS>
+HPNN_AVX512_INLINE __m512i quad16(const std::int8_t* data,
+                                  const std::int64_t* offsets, int live,
+                                  const Window16& v) {
+  __m512i z =
+      _mm512_castsi128_si512(quad_row<RUNS>(data, offsets, 0, live, v));
+  z = _mm512_inserti32x4(z, quad_row<RUNS>(data, offsets, 1, live, v), 1);
+  z = _mm512_inserti32x4(z, quad_row<RUNS>(data, offsets, 2, live, v), 2);
+  z = _mm512_inserti32x4(z, quad_row<RUNS>(data, offsets, 3, live, v), 3);
+  // Dword 4m + l <- dword 4l + m: lane m gets columns 4m .. 4m + 3 of each
+  // row. Then byte 4c + l <- byte 4l + c within each lane.
+  const __m512i lanes = _mm512_set_epi32(15, 11, 7, 3, 14, 10, 6, 2, 13, 9,
+                                         5, 1, 12, 8, 4, 0);
+  const __m512i bytes = _mm512_broadcast_i32x4(
+      _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15));
+  z = _mm512_shuffle_epi8(_mm512_permutexvar_epi32(lanes, z), bytes);
+  return _mm512_xor_si512(z, _mm512_set1_epi8(static_cast<char>(0x80)));
+}
+
+/// Builds the panel's operand once for every filter block: quad q's two
+/// vectors at quads + 128q and + 128q + 64 (64-byte aligned).
+template <int RUNS>
+HPNN_AVX512_TARGET void build_panel(const core::I8Window& x, std::int64_t k,
+                                    const Window16 (&vec)[2],
+                                    std::uint8_t* quads) {
+  // Locals: the stores below may alias the window's fields.
+  const std::int8_t* data = x.data;
+  const std::int64_t* offsets = x.offsets;
+  const Window16 v0 = vec[0];
+  const Window16 v1 = vec[1];
+  std::int64_t p = 0;
+  for (; p + 4 <= k; p += 4, quads += 128) {
+    _mm512_store_si512(quads, quad16<RUNS>(data, offsets + p, 4, v0));
+    _mm512_store_si512(quads + 64, quad16<RUNS>(data, offsets + p, 4, v1));
   }
-  for (std::int64_t q = 0; q < kp; ++q) {
-    const std::int8_t* r0 = x.data + x.offsets[2 * q];
-    const bool pair = 2 * q + 1 < k;
-    const std::int8_t* r1 = pair ? x.data + x.offsets[2 * q + 1] : nullptr;
-    __m512i b[NV];
-    for (int v = 0; v < NV; ++v) {
-      b[v] = pairs16(load_window16<RUNS>(r0, vec[v]),
-                     pair ? load_window16<RUNS>(r1, vec[v])
-                          : _mm_setzero_si128());
-    }
-    for (int r = 0; r < FB; ++r) {
-      const __m512i w = _mm512_set1_epi32(wp[r * kp + q]);
-      for (int v = 0; v < NV; ++v) {
-        acc[r][v] = _mm512_dpwssd_epi32(acc[r][v], b[v], w);
-      }
-    }
-  }
-  for (int r = 0; r < FB; ++r) {
-    for (int v = 0; v < NV; ++v) {
-      store16(acc[r][v],
-              negate != nullptr ? negate + r * n + j + 16 * v : nullptr,
-              out + r * n + j + 16 * v);
-    }
+  if (p < k) {
+    const int live = static_cast<int>(k - p);
+    _mm512_store_si512(quads, quad16<RUNS>(data, offsets + p, live, v0));
+    _mm512_store_si512(quads + 64, quad16<RUNS>(data, offsets + p, live, v1));
   }
 }
 
-/// Plans NV vectors from column j (at `at`, which it advances past them)
-/// and runs the tile specialized for their common run count: 1 (inside
-/// one run), 2 (out_w 8), or any.
-template <int FB, int NV>
-HPNN_AVX512_TARGET void left_window_tile_avx512(
-    const std::int32_t* wp, std::int64_t kp, const core::I8Window& x,
-    std::int64_t k, std::int64_t j, backends::WindowCursor& at,
-    const std::uint8_t* negate, std::int32_t* out) {
-  Window16 vec[NV];
-  int runs = plan_window16(x, at, vec[0]);
-  at.advance(x, 16);
-  for (int v = 1; v < NV; ++v) {
-    runs = plan_window16(x, at, vec[v]) == runs ? runs : 0;
-    at.advance(x, 16);
-  }
-  if (runs == 1) {
-    left_tile_avx512<FB, NV, 1>(wp, kp, x, k, vec, j, negate, out);
-  } else if (runs == 2) {
-    left_tile_avx512<FB, NV, 2>(wp, kp, x, k, vec, j, negate, out);
-  } else {
-    left_tile_avx512<FB, NV, 0>(wp, kp, x, k, vec, j, negate, out);
-  }
+/// The first clamp(cols, 0, 16) lanes of a vector.
+inline __mmask16 column_mask(std::int64_t cols) {
+  const auto live =
+      static_cast<unsigned>(std::clamp<std::int64_t>(cols, 0, 16));
+  return static_cast<__mmask16>((1u << live) - 1u);
 }
 
-/// FB filter rows starting at f0: 32-column tiles, one 16-column tile,
-/// then the scalar datapath for the last n % 16 columns.
+/// Stores the `mask` lanes of y, negating those whose negate byte is set.
+HPNN_AVX512_TARGET inline void store_keyed(__m512i y, __mmask16 mask,
+                                           const std::uint8_t* negate,
+                                           std::int32_t* out) {
+  if (negate != nullptr) {
+    const __m128i nb = _mm_maskz_loadu_epi8(mask, negate);
+    y = _mm512_mask_sub_epi32(y, _mm_test_epi8_mask(nb, nb),
+                              _mm512_setzero_si512(), y);
+  }
+  _mm512_mask_storeu_epi32(out, mask, y);
+}
+
+/// acc += Σ4 (u8 quads b) x (s8 weights w), one vpdpbusd. Written as
+/// assembly with the accumulator tied to one register: GCC 12 compiles
+/// the intrinsic inside a loop as a copy in, the multiply-add on the copy
+/// and a copy out (plus a spill once the copies run out of registers).
+HPNN_AVX512_TARGET inline void dpbusd(__m512i& acc, __m512i b, __m512i w) {
+  asm("vpdpbusd %2, %1, %0" : "+v"(acc) : "v"(b), "v"(w));
+}
+
+/// One filter's 32 panel columns: the correction subtracted, then keyed.
+HPNN_AVX512_TARGET inline void store_filter(__m512i lo, __m512i hi,
+                                            std::int32_t correction,
+                                            __mmask16 mask0, __mmask16 mask1,
+                                            const std::uint8_t* negate,
+                                            std::int32_t* out) {
+  const __m512i c = _mm512_set1_epi32(correction);
+  store_keyed(_mm512_sub_epi32(lo, c), mask0, negate, out);
+  store_keyed(_mm512_sub_epi32(hi, c), mask1,
+              negate != nullptr ? negate + 16 : nullptr, out + 16);
+}
+
+/// FB filters x the panel's `cols` columns from j: 2 * FB accumulators
+/// over the kq quads, the filters' weight words broadcast from `wq`
+/// (stride `rows` per quad). The k loop holds nothing but the two operand
+/// loads, the broadcasts and the multiply-adds.
 template <int FB>
-HPNN_AVX512_TARGET void left_rows_avx512(const core::PreparedI8& w,
-                                         std::int64_t f0,
-                                         const core::I8Window& x,
-                                         const std::uint8_t* negate,
-                                         std::int32_t* out) {
+HPNN_AVX512_TARGET void left_tile_avx512(
+    const std::int32_t* wq, std::int64_t rows, std::int64_t kq,
+    const std::uint8_t* quads, const std::int32_t* correction, std::int64_t n,
+    std::int64_t j, std::int64_t cols, const std::uint8_t* negate,
+    std::int32_t* out) {
+  static_assert(FB >= 1 && FB <= kMaxFilterBlock);
+  // One named pair of accumulators per filter (columns 0-15 and 16-31),
+  // so none of them lives in memory; pairs past FB are never touched.
+  const __m512i zero = _mm512_setzero_si512();
+  [[maybe_unused]] __m512i lo0 = zero, hi0 = zero, lo1 = zero, hi1 = zero,
+                           lo2 = zero, hi2 = zero, lo3 = zero, hi3 = zero,
+                           lo4 = zero, hi4 = zero, lo5 = zero, hi5 = zero,
+                           lo6 = zero, hi6 = zero, lo7 = zero, hi7 = zero,
+                           lo8 = zero, hi8 = zero, lo9 = zero, hi9 = zero,
+                           lo10 = zero, hi10 = zero, lo11 = zero,
+                           hi11 = zero;
+#define HPNN_QUAD_STEP(r)                       \
+  if constexpr ((r) < FB) {                     \
+    const __m512i w = _mm512_set1_epi32(wq[r]); \
+    dpbusd(lo##r, b0, w);                       \
+    dpbusd(hi##r, b1, w);                       \
+  }
+  for (std::int64_t q = 0; q < kq; ++q, wq += rows, quads += 128) {
+    const __m512i b0 = _mm512_load_si512(quads);
+    const __m512i b1 = _mm512_load_si512(quads + 64);
+    HPNN_QUAD_STEP(0) HPNN_QUAD_STEP(1) HPNN_QUAD_STEP(2)
+    HPNN_QUAD_STEP(3) HPNN_QUAD_STEP(4) HPNN_QUAD_STEP(5)
+    HPNN_QUAD_STEP(6) HPNN_QUAD_STEP(7) HPNN_QUAD_STEP(8)
+    HPNN_QUAD_STEP(9) HPNN_QUAD_STEP(10) HPNN_QUAD_STEP(11)
+  }
+#undef HPNN_QUAD_STEP
+  const __mmask16 mask0 = column_mask(cols);
+  const __mmask16 mask1 = column_mask(cols - 16);
+#define HPNN_QUAD_STORE(r)                                          \
+  if constexpr ((r) < FB) {                                         \
+    store_filter(lo##r, hi##r, correction[r], mask0, mask1,         \
+                 negate != nullptr ? negate + (r) * n + j : nullptr, \
+                 out + (r) * n + j);                                \
+  }
+  HPNN_QUAD_STORE(0) HPNN_QUAD_STORE(1) HPNN_QUAD_STORE(2)
+  HPNN_QUAD_STORE(3) HPNN_QUAD_STORE(4) HPNN_QUAD_STORE(5)
+  HPNN_QUAD_STORE(6) HPNN_QUAD_STORE(7) HPNN_QUAD_STORE(8)
+  HPNN_QUAD_STORE(9) HPNN_QUAD_STORE(10) HPNN_QUAD_STORE(11)
+#undef HPNN_QUAD_STORE
+}
+
+using LeftTile = void (*)(const std::int32_t*, std::int64_t, std::int64_t,
+                          const std::uint8_t*, const std::int32_t*,
+                          std::int64_t, std::int64_t, std::int64_t,
+                          const std::uint8_t*, std::int32_t*);
+
+template <std::size_t... FB>
+constexpr std::array<LeftTile, sizeof...(FB)> left_tiles(
+    std::index_sequence<FB...>) {
+  return {&left_tile_avx512<static_cast<int>(FB) + 1>...};
+}
+
+/// out = W @ X over 32-column panels: each panel's quads are built once
+/// into scratch, then the filters run in ceil(rows / 12) blocks of as even
+/// a size as possible. A partial panel loads its missing columns as zero
+/// bytes and stores only its own, so no column falls to a scalar tail.
+HPNN_AVX512_TARGET void left_avx512(const core::PreparedI8& w,
+                                    const core::I8Window& x,
+                                    const std::uint8_t* negate,
+                                    std::int32_t* out) {
+  static constexpr auto kTiles =
+      left_tiles(std::make_index_sequence<kMaxFilterBlock>{});
+  const std::int64_t rows = w.rows;
   const std::int64_t k = w.cols;
   const std::int64_t n = x.extent;
-  const std::int64_t kp = (k + 1) / 2;
-  const std::int32_t* wp = w.packed.data() + f0 * kp;
-  const std::uint8_t* neg = negate != nullptr ? negate + f0 * n : nullptr;
-  std::int32_t* o = out + f0 * n;
+  const std::int64_t kq = (k + 3) / 4;
+  const std::int64_t blocks = (rows + kMaxFilterBlock - 1) / kMaxFilterBlock;
+  const std::int32_t* correction = w.packed.data() + kq * rows;
+  core::ScratchArena::Scope scope;
+  auto* quads = reinterpret_cast<std::uint8_t*>(
+      scope.bytes(static_cast<std::size_t>(kq) * 128));
   backends::WindowCursor at;
-  std::int64_t j = 0;
-  for (; j + 32 <= n; j += 32) {
-    left_window_tile_avx512<FB, 2>(wp, kp, x, k, j, at, neg, o);
-  }
-  if (j + 16 <= n) {
-    left_window_tile_avx512<FB, 1>(wp, kp, x, k, j, at, neg, o);
-    j += 16;
-  }
-  for (std::int64_t r = f0; r < f0 + FB && j < n; ++r) {
-    backends::window_cols_scalar(w, r, x, j, n, out);
-    backends::negate_cols(negate, r, n, j, n, out);
+  for (std::int64_t j = 0; j < n; j += kQuadPanelCols) {
+    const std::int64_t cols = std::min(kQuadPanelCols, n - j);
+    Window16 vec[2];
+    const int r0 = plan_window16(x, at, std::min<std::int64_t>(cols, 16),
+                                 vec[0]);
+    const int r1 = plan_window16(
+        x, at, std::max<std::int64_t>(cols - 16, 0), vec[1]);
+    const int runs = r0 == r1 ? r0 : 0;
+    if (runs == 1) {
+      build_panel<1>(x, k, vec, quads);
+    } else if (runs == 2) {
+      build_panel<2>(x, k, vec, quads);
+    } else {
+      build_panel<0>(x, k, vec, quads);
+    }
+    for (std::int64_t b = 0, f0 = 0; b < blocks; ++b) {
+      const std::int64_t fb = (rows - f0 + blocks - b - 1) / (blocks - b);
+      kTiles[static_cast<std::size_t>(fb - 1)](
+          w.packed.data() + f0, rows, kq, quads, correction + f0, n, j, cols,
+          negate != nullptr ? negate + f0 * n : nullptr, out + f0 * n);
+      f0 += fb;
+    }
   }
 }
 
@@ -409,45 +533,6 @@ HPNN_AVX512_TARGET void right_avx512(const core::PreparedI8& w,
         _mm512_mask_storeu_epi32(out + i * n + j, mask, v);
       }
     }
-  }
-}
-
-HPNN_AVX512_TARGET void matmul_i8_prepared_avx512(const core::PreparedI8& w,
-                                                  const core::I8Window& x,
-                                                  const std::uint8_t* negate,
-                                                  std::int32_t* out) {
-  if (w.side == core::PreparedI8::Side::kRight) {
-    right_avx512(w, x.data, x.extent, negate, out);
-    return;
-  }
-  std::int64_t f0 = 0;
-  for (; f0 + kAvx512FilterBlock <= w.rows; f0 += kAvx512FilterBlock) {
-    left_rows_avx512<kAvx512FilterBlock>(w, f0, x, negate, out);
-  }
-  switch (w.rows - f0) {
-    case 7:
-      left_rows_avx512<7>(w, f0, x, negate, out);
-      break;
-    case 6:
-      left_rows_avx512<6>(w, f0, x, negate, out);
-      break;
-    case 5:
-      left_rows_avx512<5>(w, f0, x, negate, out);
-      break;
-    case 4:
-      left_rows_avx512<4>(w, f0, x, negate, out);
-      break;
-    case 3:
-      left_rows_avx512<3>(w, f0, x, negate, out);
-      break;
-    case 2:
-      left_rows_avx512<2>(w, f0, x, negate, out);
-      break;
-    case 1:
-      left_rows_avx512<1>(w, f0, x, negate, out);
-      break;
-    default:
-      break;
   }
 }
 
@@ -535,7 +620,8 @@ class Avx512Backend final : public core::ComputeBackend {
   std::string name() const override { return "avx512"; }
   std::string description() const override {
     return "AVX-512/VNNI kernels: 8x32 GEMM microtile, 16-lane elementwise, "
-           "vpdpwssd int8 MMU path";
+           "int8 MMU path (conv: u8 x s8 vpdpbusd over k quads; linear: "
+           "vpdpwssd over k pairs)";
   }
   bool supported() const override {
     return __builtin_cpu_supports("avx512f") &&
@@ -581,7 +667,11 @@ class Avx512Backend final : public core::ComputeBackend {
   void matmul_i8_prepared(const core::PreparedI8& w, const core::I8Window& x,
                           const std::uint8_t* negate,
                           std::int32_t* out) const override {
-    matmul_i8_prepared_avx512(w, x, negate, out);
+    if (w.side == core::PreparedI8::Side::kRight) {
+      right_avx512(w, x.data, x.extent, negate, out);
+    } else {
+      left_avx512(w, x, negate, out);
+    }
   }
 
   void quantize_i8(const float* x, std::int64_t n, float inv_scale,
@@ -598,7 +688,11 @@ class Avx512Backend final : public core::ComputeBackend {
 
  protected:
   void pack_i8(core::PreparedI8& w) const override {
-    backends::pack_i16_pairs(w, 16);
+    if (w.side == core::PreparedI8::Side::kRight) {
+      backends::pack_i16_pairs(w, 16);
+    } else {
+      pack_u8_quads(w);
+    }
   }
 };
 

@@ -137,9 +137,10 @@ inline std::int32_t i16_pair(std::int8_t lo, std::int8_t hi) {
                                    (static_cast<std::uint32_t>(h) << 16));
 }
 
-/// The SIMD tiers' prepared-weights layout: int16 pairs along the
-/// contraction dimension k, zero-padded to an even k (a zero weight adds
-/// nothing, so padding is exact). kp = ceil(k / 2).
+/// The prepared-weights int16-pair layout along the contraction
+/// dimension k, zero-padded to an even k (a zero weight adds nothing, so
+/// padding is exact); kp = ceil(k / 2). The AVX2 tier uses both sides, the
+/// AVX-512 tier only kRight (its kLeft packs u8 x s8 quads).
 ///   kLeft  (k = cols): word [r * kp + q] = (w[r][2q], w[r][2q+1]), the
 ///          pair each filter broadcasts against interleaved activation rows.
 ///   kRight (k = rows): per block of `vw` columns, word
@@ -148,34 +149,56 @@ inline std::int32_t i16_pair(std::int8_t lo, std::int8_t hi) {
 ///          are zero-padded to a multiple of four blocks; a tier may run
 ///          four blocks per pass and store the valid columns masked, or
 ///          run a partial block on the scalar path over `values`.
+/// The loops test no bound per word: full pairs, then the odd final row;
+/// full column blocks, then the partial one.
 inline void pack_i16_pairs(core::PreparedI8& w, std::int64_t vw) {
   const std::int8_t* v = w.values.data();
   const std::int64_t rows = w.rows;
   const std::int64_t cols = w.cols;
   if (w.side == core::PreparedI8::Side::kLeft) {
     const std::int64_t kp = (cols + 1) / 2;
+    const std::int64_t pairs = cols / 2;
     w.packed.assign(static_cast<std::size_t>(rows * kp), 0);
     for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t q = 0; q < kp; ++q) {
-        const std::int64_t p = 2 * q;
-        w.packed[static_cast<std::size_t>(r * kp + q)] =
-            i16_pair(v[r * cols + p], p + 1 < cols ? v[r * cols + p + 1] : 0);
+      const std::int8_t* wr = v + r * cols;
+      std::int32_t* dst = w.packed.data() + r * kp;
+      for (std::int64_t q = 0; q < pairs; ++q) {
+        dst[q] = i16_pair(wr[2 * q], wr[2 * q + 1]);
+      }
+      if (pairs < kp) {
+        dst[pairs] = i16_pair(wr[cols - 1], 0);
       }
     }
     return;
   }
   const std::int64_t kp = (rows + 1) / 2;
+  const std::int64_t pairs = rows / 2;
   const std::int64_t blocks = (cols + 4 * vw - 1) / (4 * vw) * 4;
   w.packed.assign(static_cast<std::size_t>(blocks * kp * vw), 0);
-  for (std::int64_t b = 0; b < blocks; ++b) {
-    for (std::int64_t q = 0; q < kp; ++q) {
-      const std::int64_t p = 2 * q;
-      for (std::int64_t c = 0; c < vw && b * vw + c < cols; ++c) {
-        const std::int64_t j = b * vw + c;
-        w.packed[static_cast<std::size_t>((b * kp + q) * vw + c)] = i16_pair(
-            v[p * cols + j], p + 1 < rows ? v[(p + 1) * cols + j] : 0);
+  // The first `width` columns of block b; the padding blocks stay zero.
+  const auto pack_block = [&](std::int64_t b, std::int64_t width) {
+    const std::int8_t* col = v + b * vw;
+    std::int32_t* dst = w.packed.data() + b * kp * vw;
+    for (std::int64_t q = 0; q < pairs; ++q, dst += vw) {
+      const std::int8_t* r0 = col + 2 * q * cols;
+      const std::int8_t* r1 = r0 + cols;
+      for (std::int64_t c = 0; c < width; ++c) {
+        dst[c] = i16_pair(r0[c], r1[c]);
       }
     }
+    if (pairs < kp) {
+      const std::int8_t* r0 = col + (rows - 1) * cols;
+      for (std::int64_t c = 0; c < width; ++c) {
+        dst[c] = i16_pair(r0[c], 0);
+      }
+    }
+  };
+  const std::int64_t full = cols / vw;
+  for (std::int64_t b = 0; b < full; ++b) {
+    pack_block(b, vw);
+  }
+  if (full * vw < cols) {
+    pack_block(full, cols - full * vw);
   }
 }
 

@@ -270,5 +270,58 @@ INSTANTIATE_TEST_SUITE_P(Backends, WindowEdgeTest,
                          ::testing::ValuesIn(supported_backends()),
                          [](const auto& info) { return info.param; });
 
+// The AVX-512 kLeft kernel groups k rows in fours and biases every
+// activation byte by 128 (cancelled per filter at store), so the k tail
+// and the bias are checked at C·k² ≡ 0 and 1 (mod 4); SaturatedOperands
+// covers 2 and 3. Output widths 12, 20 and 24 make the 16-column vectors
+// straddle runs, and 5 and 13 filters leave partial filter blocks.
+const WindowCase kQuadTailCases[] = {
+    {4, 3, 12, 3, 1, 5},   // C·k² 36
+    {16, 2, 20, 1, 0, 4},  // C·k² 16, a 1x1 kernel
+    {1, 5, 20, 3, 1, 13},  // C·k² 9
+    {1, 3, 24, 5, 2, 2},   // C·k² 25
+};
+
+class WindowQuadTailTest
+    : public ::testing::TestWithParam<std::tuple<std::string, WindowCase>> {};
+
+TEST_P(WindowQuadTailTest, BiasedOperandBitIdentical) {
+  const auto& [name, c] = GetParam();
+  const core::ComputeBackend& be = *ops::find_backend(name);
+  // Random operands, then ±127 and -128 everywhere: -128 biases to 0 and
+  // 127 to 255, the ends of the u8 range, against the zero border's 128.
+  const ConvOperands random(
+      c, static_cast<std::uint64_t>(c.channels * 31 + c.out_w * 7 +
+                                    c.filters));
+  for (const std::uint8_t* neg :
+       {static_cast<const std::uint8_t*>(nullptr), random.negate.data()}) {
+    EXPECT_EQ(window_product(be, random, random.window(), neg),
+              random.reference(neg))
+        << (neg == nullptr ? "unlocked" : "keyed negation");
+  }
+  for (const auto& [av, wv] :
+       {std::pair{-128, -128}, std::pair{-128, 127}, std::pair{127, 127},
+        std::pair{127, -128}}) {
+    ConvOperands op(c, 1);
+    op.input.assign(op.input.size(), static_cast<std::int8_t>(av));
+    op.weights.assign(op.weights.size(), static_cast<std::int8_t>(wv));
+    op.build();
+    EXPECT_EQ(window_product(be, op, op.window(), op.negate.data()),
+              op.reference(op.negate.data()))
+        << av << " x " << wv;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, WindowQuadTailTest,
+    ::testing::Combine(::testing::ValuesIn(supported_backends()),
+                       ::testing::ValuesIn(kQuadTailCases)),
+    [](const auto& info) {
+      std::ostringstream os;
+      os << std::get<0>(info.param) << "_"
+         << case_name(std::get<1>(info.param));
+      return os.str();
+    });
+
 }  // namespace
 }  // namespace hpnn
